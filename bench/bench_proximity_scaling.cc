@@ -24,6 +24,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -88,9 +89,15 @@ int main(int argc, char** argv) {
       ProximityKind::kDeepWalkSampled,
   };
 
-  const std::string cache_dir =
-      (std::filesystem::temp_directory_path() / "sepriv_bench_prox_cache")
-          .string();
+  // A fresh, private cache directory per run: it starts empty (a guaranteed
+  // cold start), and concurrent runs never delete each other's entries.
+  std::string cache_dir = (std::filesystem::temp_directory_path() /
+                           "sepriv_bench_prox_cache.XXXXXX")
+                              .string();
+  if (::mkdtemp(cache_dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
 
   std::printf("\n== thread scaling (both edge passes, %zu edges) ==\n",
               graph.num_edges());
@@ -136,8 +143,6 @@ int main(int argc, char** argv) {
   std::printf("\n== persistent cache (dir: %s) ==\n", cache_dir.c_str());
   std::printf("%-18s %12s %12s %10s %18s\n", "preference", "cold_s",
               "warm_s", "ratio", "digest(warm)");
-  std::error_code ec;
-  std::filesystem::remove_all(cache_dir, ec);  // guarantee a cold start
   ThreadPool pool(ThreadPool::ResolveThreads(0));
   for (size_t k = 0; k < kinds.size(); ++k) {
     const auto provider = MakeProximity(kinds[k], graph, opts);
@@ -162,6 +167,7 @@ int main(int argc, char** argv) {
   }
   std::printf("# warm runs load the validated cache file; cold = parallel "
               "compute + save\n");
+  std::error_code ec;
   std::filesystem::remove_all(cache_dir, ec);
   if (const char* path = bench::JsonPathFromArgs(argc, argv)) {
     // sepriv-privflow: allow(leak): public-by-policy: publishes the aggregate-metric records collected above

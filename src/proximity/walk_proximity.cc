@@ -35,6 +35,20 @@ void RowCachedProximity::ClearRow() const {
   touched_.clear();
 }
 
+void RowCachedProximity::PushScratch::Reset() {
+  for (NodeId k : cur_nz) cur[k] = 0.0;
+  cur_nz.clear();
+}
+
+RowCachedProximity::PushScratch& RowCachedProximity::Scratch() const {
+  if (scratch_.cur.empty()) {
+    const size_t n = graph_.num_nodes();
+    scratch_.cur.assign(n, 0.0);
+    scratch_.next.assign(n, 0.0);
+  }
+  return scratch_;
+}
+
 // --- Katz -------------------------------------------------------------------
 
 KatzProximity::KatzProximity(const Graph& graph, int max_length, double beta)
@@ -50,10 +64,9 @@ std::string KatzProximity::Name() const {
 }
 
 void KatzProximity::ComputeRow(NodeId source) const {
-  const size_t n = graph_.num_nodes();
   // cur holds (A^l)_source as a sparse vector over a dense scratch.
-  std::vector<double> cur(n, 0.0), next(n, 0.0);
-  std::vector<NodeId> cur_nz, next_nz;
+  PushScratch& scratch = Scratch();
+  auto& [cur, next, cur_nz, next_nz] = scratch;
   cur[source] = 1.0;
   cur_nz.push_back(source);
   double beta_pow = 1.0;
@@ -75,6 +88,7 @@ void KatzProximity::ComputeRow(NodeId source) const {
     cur.swap(next);
     next_nz.clear();
   }
+  scratch.Reset();
 }
 
 // --- Personalized PageRank ---------------------------------------------------
@@ -95,9 +109,8 @@ std::string PersonalizedPageRankProximity::Name() const {
 }
 
 void PersonalizedPageRankProximity::ComputeRow(NodeId source) const {
-  const size_t n = graph_.num_nodes();
-  std::vector<double> r(n, 0.0), next(n, 0.0);
-  std::vector<NodeId> r_nz, next_nz;
+  PushScratch& scratch = Scratch();
+  auto& [r, next, r_nz, next_nz] = scratch;
   r[source] = 1.0;
   r_nz.push_back(source);
   for (int it = 0; it < iterations_; ++it) {
@@ -126,6 +139,7 @@ void PersonalizedPageRankProximity::ComputeRow(NodeId source) const {
       Touch(u);
     }
   }
+  scratch.Reset();
 }
 
 // --- DeepWalk (exact) --------------------------------------------------------
@@ -142,9 +156,8 @@ std::string DeepWalkProximity::Name() const {
 }
 
 void DeepWalkProximity::ComputeRow(NodeId source) const {
-  const size_t n = graph_.num_nodes();
-  std::vector<double> cur(n, 0.0), next(n, 0.0);
-  std::vector<NodeId> cur_nz, next_nz;
+  PushScratch& scratch = Scratch();
+  auto& [cur, next, cur_nz, next_nz] = scratch;
   cur[source] = 1.0;
   cur_nz.push_back(source);
   const double inv_t = 1.0 / static_cast<double>(window_);
@@ -170,6 +183,7 @@ void DeepWalkProximity::ComputeRow(NodeId source) const {
     cur_nz.swap(next_nz);
     next_nz.clear();
   }
+  scratch.Reset();
 }
 
 // --- DeepWalk (sampled) ------------------------------------------------------

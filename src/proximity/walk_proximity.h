@@ -5,6 +5,13 @@
 // is computed with sparse push operations over the CSR graph and cached, so
 // querying pairs grouped by source (the edge-list order used by
 // ComputeEdgeProximities) costs one row computation per distinct source.
+//
+// Cost model. A row costs its touched frontier — the pushes Σ deg(k) over
+// the nodes k the walk reaches, plus one clear per touched entry — and
+// nothing proportional to |V|. The exact providers push into ~2·|V| doubles
+// of scratch (PushScratch) next to the |V|-double cached row; both are
+// allocated once per instance and reused across rows, and each Clone() owns
+// its own, so parallel workers never share them.
 
 #ifndef SEPRIVGEMB_PROXIMITY_WALK_PROXIMITY_H_
 #define SEPRIVGEMB_PROXIMITY_WALK_PROXIMITY_H_
@@ -27,10 +34,28 @@ class RowCachedProximity : public ProximityProvider {
 
  protected:
   /// Fills row_[*] with the proximity row of `source`. row_ is zeroed on
-  /// entry; implementations must record touched indices via Touch().
+  /// entry; implementations must record touched indices via Touch(). An
+  /// implementation that uses Scratch() must return with it zeroed again
+  /// (PushScratch::Reset), so the next row starts from a clean workspace.
   virtual void ComputeRow(NodeId source) const = 0;
 
   void Touch(NodeId j) const { touched_.push_back(j); }
+
+  /// Dense push workspace of the exact walk providers: two |V|-length
+  /// vectors and, for each, the list of its non-zero indices in insertion
+  /// order. All zero (and both lists empty) between ComputeRow calls.
+  struct PushScratch {
+    std::vector<double> cur, next;
+    std::vector<NodeId> cur_nz, next_nz;
+
+    /// Zeroes `cur` through `cur_nz` and empties `cur_nz`. `next` and
+    /// `next_nz` must already be clear, as they are after every completed
+    /// push step.
+    void Reset();
+  };
+
+  /// This instance's push workspace, sized to |V| on first use.
+  PushScratch& Scratch() const;
 
   const Graph& graph_;
   mutable std::vector<double> row_;
@@ -39,6 +64,7 @@ class RowCachedProximity : public ProximityProvider {
   void ClearRow() const;
 
   mutable std::vector<NodeId> touched_;
+  mutable PushScratch scratch_;
   mutable NodeId cached_source_ = 0;
   mutable bool has_cache_ = false;
 };

@@ -8,6 +8,7 @@
 #include <system_error>
 #include <vector>
 
+#include "test_tmpdir.h"
 #include "util/mem.h"
 #include "util/page_file.h"
 
@@ -19,7 +20,7 @@ constexpr size_t kPage = 4096;
 class BufferPoolTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    const std::string path = testing::TempDir() + "/pool_" + name;
+    const std::string path = TestTmpDir() + "/pool_" + name;
     std::error_code ec;
     std::filesystem::remove(path, ec);
     return path;

@@ -6,11 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
-#include <system_error>
 
 #include "core/checkpoint.h"
+#include "test_tmpdir.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -23,10 +22,7 @@ class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
-    dir_ = testing::TempDir() + "/checkpoint_test";
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-    std::filesystem::create_directories(dir_);
+    dir_ = TestTmpDir();
   }
   void TearDown() override { failpoint::ClearAll(); }
 

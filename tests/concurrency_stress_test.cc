@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "linalg/kernels.h"
+#include "test_tmpdir.h"
 #include "util/buffer_pool.h"
 #include "util/page_file.h"
 #include "util/rng.h"
@@ -39,7 +40,7 @@ constexpr size_t kPage = 512;  // small pages: more traffic per second
 class ConcurrencyStressTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    const std::string path = testing::TempDir() + "/stress_" + name;
+    const std::string path = TestTmpDir() + "/stress_" + name;
     std::error_code ec;
     std::filesystem::remove(path, ec);
     return path;

@@ -12,6 +12,7 @@
 #include "core/sparse_row_grad.h"
 #include "eval/strucequ.h"
 #include "graph/generators.h"
+#include "test_tmpdir.h"
 #include "util/stats.h"
 
 namespace sepriv {
@@ -339,8 +340,7 @@ TEST(TrainerTest, ProximityCachePathColdAndWarmBitIdentical) {
   // End-to-end cached precompute: the first trainer writes the edge-weight
   // cache, the second loads it; both must match a cache-less run bit for bit
   // (weights, loss curve, min proximity).
-  const std::string dir =
-      testing::TempDir() + "/trainer_prox_cache";
+  const std::string dir = TestTmpDir() + "/trainer_prox_cache";
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 

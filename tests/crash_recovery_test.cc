@@ -17,13 +17,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/se_privgemb.h"
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "test_tmpdir.h"
 #include "util/digest.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -57,10 +57,7 @@ class CrashRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
-    root_ = testing::TempDir() + "/crash_recovery_test";
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-    std::filesystem::create_directories(root_);
+    root_ = TestTmpDir();
   }
   void TearDown() override { failpoint::ClearAll(); }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace sepriv {
 namespace {
@@ -89,6 +91,23 @@ TEST(DatasetsDeathTest, RejectsBadScale) {
   EXPECT_DEATH(MakeDataset(DatasetId::kPpi, 1.5), "scale");
 }
 
+// GoogleTest prints a param that has no PrintTo overload as its raw bytes, and
+// CTest discovery puts that dump into the test name. DatasetSpec has four
+// padding bytes after `id` whose contents are indeterminate, so the specs are
+// copied into zeroed storage: the dump, and with it each test name, is then
+// the same on every build and run.
+std::vector<DatasetSpec> ZeroPaddedDatasets() {
+  std::vector<DatasetSpec> specs(AllDatasets().size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    std::memset(static_cast<void*>(&specs[i]), 0, sizeof(DatasetSpec));
+    specs[i].id = AllDatasets()[i].id;
+    specs[i].name = AllDatasets()[i].name;
+    specs[i].paper_nodes = AllDatasets()[i].paper_nodes;
+    specs[i].paper_edges = AllDatasets()[i].paper_edges;
+  }
+  return specs;
+}
+
 class AllDatasetsTest : public ::testing::TestWithParam<DatasetSpec> {};
 
 TEST_P(AllDatasetsTest, SmallScaleStandInIsUsable) {
@@ -100,7 +119,7 @@ TEST_P(AllDatasetsTest, SmallScaleStandInIsUsable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Specs, AllDatasetsTest, ::testing::ValuesIn(AllDatasets()),
+    Specs, AllDatasetsTest, ::testing::ValuesIn(ZeroPaddedDatasets()),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

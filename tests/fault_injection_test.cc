@@ -8,9 +8,7 @@
 
 #include <cstddef>
 #include <cstring>
-#include <filesystem>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "core/se_privgemb.h"
@@ -20,6 +18,7 @@
 #include "graph/shard.h"
 #include "proximity/proximity.h"
 #include "proximity/proximity_engine.h"
+#include "test_tmpdir.h"
 #include "util/buffer_pool.h"
 #include "util/failpoint.h"
 #include "util/page_file.h"
@@ -32,10 +31,7 @@ class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
-    root_ = testing::TempDir() + "/fault_injection_test";
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-    std::filesystem::create_directories(root_);
+    root_ = TestTmpDir();
   }
   void TearDown() override { failpoint::ClearAll(); }
 

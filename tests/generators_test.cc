@@ -133,6 +133,11 @@ struct GenSizeCase {
   size_t n;
 };
 
+// Without this, GoogleTest prints the param as raw bytes, which include the
+// address of `name`; CTest discovery copies that dump into the test name, so
+// the name changed with every build layout and address-space randomization.
+void PrintTo(const GenSizeCase& c, std::ostream* os) { *os << c.name; }
+
 class GeneratorScaleTest : public ::testing::TestWithParam<GenSizeCase> {};
 
 TEST_P(GeneratorScaleTest, AllGeneratorsProduceSimpleGraphs) {

@@ -10,6 +10,7 @@
 
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "test_tmpdir.h"
 
 namespace sepriv {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/" + name;
+    return TestTmpDir() + "/" + name;
   }
 };
 
@@ -166,7 +167,7 @@ TEST_F(IoTest, WrittenFileStartsWithSummaryComment) {
 class ShardIngestTest : public IoTest {
  protected:
   std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/ingest_" + name;
+    const std::string dir = TestTmpDir() + "/ingest_" + name;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     return dir;

@@ -16,6 +16,7 @@
 #include "embedding/subgraph_sampler.h"
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "test_tmpdir.h"
 #include "util/digest.h"
 
 namespace sepriv {
@@ -41,7 +42,7 @@ struct TrainDigest {
 class OocoreTrainTest : public ::testing::Test {
  protected:
   std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/oocore_" + name;
+    const std::string dir = TestTmpDir() + "/oocore_" + name;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     return dir;

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -17,6 +16,7 @@
 #include "graph/generators.h"
 #include "linalg/matrix.h"
 #include "linalg/simd/cpu_features.h"
+#include "test_tmpdir.h"
 #include "util/digest.h"
 #include "util/rng.h"
 
@@ -238,10 +238,7 @@ TEST(PrecisionTrainTest, Float32DigestInvariantAcrossSimdLevels) {
 class PrecisionCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing::TempDir() + "/precision_ckpt_test";
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-    std::filesystem::create_directories(dir_);
+    dir_ = TestTmpDir();
   }
   std::string dir_;
 };

@@ -14,6 +14,7 @@
 
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "test_tmpdir.h"
 
 namespace sepriv {
 namespace {
@@ -40,7 +41,7 @@ void ExpectBitIdentical(const EdgeProximity& a, const EdgeProximity& b) {
 class ProximityEngineTest : public ::testing::Test {
  protected:
   std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/prox_cache_" + name;
+    const std::string dir = TestTmpDir() + "/prox_cache_" + name;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     return dir;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/generators.h"
+#include "util/digest.h"
 
 namespace sepriv {
 namespace {
@@ -167,6 +170,98 @@ TEST(WalkProximityTest, NamesEncodeParameters) {
   Graph g = PathGraph(3);
   EXPECT_EQ(KatzProximity(g, 4, 0.05).Name(), "katz(L=4,beta=0.050)");
   EXPECT_EQ(DeepWalkProximity(g, 2).Name(), "deepwalk(T=2)");
+}
+
+// The three exact row oracles at the paper's defaults (plus DeepWalk T=3),
+// each paired with the FNV digest of its full EdgeProximity on the fixture
+// graph below.
+struct GoldenCase {
+  const char* label;
+  std::unique_ptr<ProximityProvider> (*make)(const Graph&);
+  uint64_t digest;
+};
+
+const GoldenCase kGoldenCases[] = {
+    {"katz(L=4)",
+     [](const Graph& g) -> std::unique_ptr<ProximityProvider> {
+       return std::make_unique<KatzProximity>(g, 4, 0.05);
+     },
+     0x6d7080c8b0a906ffULL},
+    {"ppr(iters=20)",
+     [](const Graph& g) -> std::unique_ptr<ProximityProvider> {
+       return std::make_unique<PersonalizedPageRankProximity>(g, 0.15, 20);
+     },
+     0x39c418ed2f7ea478ULL},
+    {"deepwalk(T=2)",
+     [](const Graph& g) -> std::unique_ptr<ProximityProvider> {
+       return std::make_unique<DeepWalkProximity>(g, 2);
+     },
+     0x2c04b1e5fc47ea3dULL},
+    {"deepwalk(T=3)",
+     [](const Graph& g) -> std::unique_ptr<ProximityProvider> {
+       return std::make_unique<DeepWalkProximity>(g, 3);
+     },
+     0x60f7779fb4c69359ULL},
+};
+
+// Hub-heavy fixture: a few hubs whose rows reach most of the graph within
+// two steps, and a long tail of degree-5 leaves.
+Graph HubHeavyGraph() { return PowerLawCluster(2000, 5, 0.3, /*seed=*/12); }
+
+uint64_t EdgeProximityDigest(const EdgeProximity& ep) {
+  uint64_t h = FnvDigest(ep.values.data(), ep.values.size() * sizeof(double));
+  h = FnvDigest(ep.normalized.data(), ep.normalized.size() * sizeof(double),
+                h);
+  h = FnvDigest(&ep.min_positive, sizeof(double), h);
+  h = FnvDigest(&ep.max_value, sizeof(double), h);
+  return FnvDigest(&ep.normalized_min_positive, sizeof(double), h);
+}
+
+// Pins every bit of the per-edge table the trainer consumes, so any change
+// to the push order or the row accumulation shows up as a digest mismatch.
+TEST(WalkProximityGoldenTest, EdgeProximityDigestsArePinned) {
+  const Graph g = HubHeavyGraph();
+  for (const GoldenCase& c : kGoldenCases) {
+    const auto provider = c.make(g);
+    const uint64_t digest =
+        EdgeProximityDigest(ComputeEdgeProximities(g, *provider));
+    EXPECT_EQ(digest, c.digest)
+        << c.label << ": got 0x" << std::hex << digest << "ULL";
+  }
+}
+
+// One instance answers a hub row (large enough that the row cache's clear
+// takes its full-fill branch), then leaf rows, then the hub again. A value
+// left behind in any reused scratch would make a later row differ from the
+// same row computed by a fresh instance.
+TEST(WalkProximityGoldenTest, ReusedInstanceMatchesFreshRows) {
+  const Graph g = HubHeavyGraph();
+  const size_t n = g.num_nodes();
+  NodeId hub = 0;
+  std::vector<NodeId> leaves;
+  for (NodeId v = 0; v < n; ++v) {
+    if (g.Degree(v) > g.Degree(hub)) hub = v;
+    if (g.Degree(v) == 5 && leaves.size() < 4) leaves.push_back(v);
+  }
+  ASSERT_EQ(leaves.size(), 4u);
+  std::vector<NodeId> order = {hub};
+  order.insert(order.end(), leaves.begin(), leaves.end());
+  order.push_back(hub);
+  order.push_back(leaves.front());
+
+  for (const GoldenCase& c : kGoldenCases) {
+    const auto reused = c.make(g);
+    size_t hub_nnz = 0;
+    for (NodeId j = 0; j < n; ++j) hub_nnz += reused->At(hub, j) != 0.0;
+    EXPECT_GT(hub_nnz, n / 4) << c.label << ": hub row too small";
+    for (NodeId i : order) {
+      const auto fresh = c.make(g);
+      for (NodeId j = 0; j < n; ++j) {
+        ASSERT_EQ(reused->At(i, j), fresh->At(i, j))
+            << c.label << " row " << i << " col " << j;
+      }
+    }
+  }
 }
 
 }  // namespace

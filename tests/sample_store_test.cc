@@ -13,6 +13,7 @@
 #include "core/batch_gradient_engine.h"
 #include "embedding/skipgram.h"
 #include "embedding/subgraph_sampler.h"
+#include "test_tmpdir.h"
 #include "util/digest.h"
 #include "util/rng.h"
 
@@ -26,7 +27,7 @@ constexpr size_t kTinyPage = 96;
 class SampleStoreTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    const std::string path = testing::TempDir() + "/samples_" + name;
+    const std::string path = TestTmpDir() + "/samples_" + name;
     std::error_code ec;
     std::filesystem::remove(path, ec);
     return path;

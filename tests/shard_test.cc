@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "test_tmpdir.h"
 
 namespace sepriv {
 namespace {
@@ -16,7 +17,7 @@ namespace {
 class ShardTest : public ::testing::Test {
  protected:
   std::string TempDirFor(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/shard_" + name;
+    const std::string dir = TestTmpDir() + "/shard_" + name;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     return dir;

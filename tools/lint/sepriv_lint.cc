@@ -51,6 +51,11 @@
 //                        failure channel these calls have. `(void)` casts
 //                        do not exempt: silencing the compiler is not
 //                        handling the error
+//   shared-tempdir       `TempDir() + "literal"` — one fixed directory that
+//                        every test process shares; ctest -j runs each TEST
+//                        as its own process, so concurrent cases delete each
+//                        other's files. Tests take a per-process, per-test
+//                        directory from tests/test_tmpdir.h instead
 //   bad-suppression      a sepriv-lint: allow(...) comment without a
 //                        justification after the closing parenthesis
 //   unused-suppression   a suppression that silenced nothing (stale allows
@@ -111,8 +116,10 @@ bool IsIdentChar(char c) {
 }
 
 /// Tokenizes C++ source into identifiers and single-char punctuation,
-/// dropping comments, string literals, char literals, and preprocessor
-/// include paths. Line numbers are preserved for diagnostics.
+/// dropping comments and char literals. A string literal (including a quoted
+/// include path) becomes one `"` token: its contents are never scanned, but
+/// rules can see that a literal stands there. Line numbers are preserved for
+/// diagnostics.
 std::vector<Token> Tokenize(const std::string& src) {
   std::vector<Token> toks;
   int line = 1;
@@ -134,6 +141,7 @@ std::vector<Token> Tokenize(const std::string& src) {
       i = std::min(n, i + 2);
     } else if (c == '"' || c == '\'') {
       const char quote = c;
+      if (quote == '"') toks.push_back({"\"", line});
       ++i;
       while (i < n && src[i] != quote) {
         if (src[i] == '\\' && i + 1 < n) ++i;  // skip escaped char
@@ -392,6 +400,12 @@ void ScanFile(const fs::path& path, const std::string& path_label,
       local.push_back({path_label, line, "raw-getenv",
                        t + "() scattered through the tree hides knobs; use "
                        "GetStringEnv/ParseSizeEnv from util/env.h"});
+    } else if (t == "TempDir" && tok(i + 1) == "(" && tok(i + 2) == ")" &&
+               tok(i + 3) == "+" && tok(i + 4) == "\"") {
+      local.push_back({path_label, line, "shared-tempdir",
+                       "TempDir() + \"literal\" names one directory shared by "
+                       "every concurrently running test process; use "
+                       "TestTmpDir() from tests/test_tmpdir.h"});
     } else if (!member_access && SleepCalls().count(t) != 0 &&
                tok(i + 1) == "(") {
       local.push_back({path_label, line, "sleep-wait",
