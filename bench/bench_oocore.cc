@@ -34,6 +34,7 @@
 #include "core/se_privgemb.h"
 #include "graph/generators.h"
 #include "graph/shard.h"
+#include "linalg/simd/cpu_features.h"
 #include "util/digest.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
@@ -99,6 +100,10 @@ int main(int argc, char** argv) {
   json.AddMeta("epochs", std::to_string(epochs));
   json.AddMeta("shards", std::to_string(num_shards));
   json.AddMeta("pool_pages", std::to_string(pool_pages));
+  json.AddMeta("hardware_threads",
+               std::to_string(ThreadPool::ResolveThreads(0)));
+  json.AddMeta("cpu_features", simd::CpuFeatureString());
+  json.AddMeta("simd_active", simd::LevelName(simd::ActiveLevel()));
 
   std::printf("%-22s %10s %10s %12s %12s %10s\n", "config", "time_s",
               "vs_ref", "pool_hits", "pool_misses", "identical");

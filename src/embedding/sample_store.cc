@@ -11,7 +11,8 @@ namespace sepriv {
 namespace {
 
 constexpr uint64_t kMagic = 0x53455056534D504CULL;  // "SEPVSMPL"
-constexpr uint64_t kVersion = 1;
+// Version 2: data-page checksums are PageHash values.
+constexpr uint64_t kVersion = 2;
 constexpr size_t kHeaderWords = 8;
 constexpr size_t kHeaderBytes = kHeaderWords * sizeof(uint64_t);
 constexpr size_t kDataPageHeaderBytes = sizeof(uint64_t);  // page checksum
@@ -41,8 +42,8 @@ uint32_t LoadU32(const std::byte* p) {
 void StoreU32(std::byte* p, uint32_t w) { std::memcpy(p, &w, sizeof(w)); }
 
 uint64_t PageChecksum(const std::byte* page, size_t page_size) {
-  return FnvDigest(page + kDataPageHeaderBytes,
-                   page_size - kDataPageHeaderBytes);
+  return PageHash(page + kDataPageHeaderBytes,
+                  page_size - kDataPageHeaderBytes, kMagic);
 }
 
 }  // namespace

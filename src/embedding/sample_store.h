@@ -10,17 +10,20 @@
 // training's sample memory at (pool budget) pages regardless of |E|.
 //
 // Layout (all little-endian, the only architecture the project targets):
-//   page 0        — header words: magic, version, num_samples, k,
+//   page 0        — header words: magic, version (2), num_samples, k,
 //                   record_bytes, samples_per_page, page_size, checksum
 //                   (FnvDigest of the preceding words).
-//   pages 1..P    — data pages: word 0 = FnvDigest of bytes [8, page_size),
-//                   then samples_per_page records back to back.
+//   pages 1..P    — data pages: word 0 = PageHash of bytes [8, page_size)
+//                   seeded with the magic, then samples_per_page records
+//                   back to back (the unused tail stays zero and is
+//                   covered too).
 //   record        — u32 center, u32 context, u32 edge_index, u32 k,
 //                   f64 weight, k × u32 negatives, zero-padded to 8 bytes.
 //
 // Every data page is checksum-verified once per disk read (keyed by the
 // pool's load_id, the same discipline as SsdGraphStore), so repeated pins of
-// a resident page cost nothing.
+// a resident page cost nothing. PageHash (util/digest.h) verifies a page at
+// memory speed. Stores of another version fail Open.
 
 #ifndef SEPRIVGEMB_EMBEDDING_SAMPLE_STORE_H_
 #define SEPRIVGEMB_EMBEDDING_SAMPLE_STORE_H_

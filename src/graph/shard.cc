@@ -15,10 +15,11 @@ namespace sepriv {
 namespace {
 
 // On-disk format identifiers. Bumping kFormatVersion invalidates every
-// existing shard directory (LoadShardManifest returns nullopt).
+// existing shard directory (LoadShardManifest returns nullopt). Version 2:
+// page checksums and shard fingerprints are PageHash values.
 constexpr uint64_t kShardPageMagic = 0x5345505653484452ULL;    // "SEPVSHDR"
 constexpr uint64_t kManifestMagic = 0x5345505653484d46ULL;     // "SEPVSHMF"
-constexpr uint64_t kFormatVersion = 1;
+constexpr uint64_t kFormatVersion = 2;
 constexpr size_t kHeaderWords = 9;  // magic, version, 6 range fields, checksum
 constexpr size_t kHeaderBytes = kHeaderWords * sizeof(uint64_t);
 constexpr size_t kChecksumOffset = 8 * sizeof(uint64_t);
@@ -38,8 +39,8 @@ void StoreWord(std::byte* p, uint64_t w) { std::memcpy(p, &w, sizeof(w)); }
 
 /// Page checksum: every payload byte except the checksum word itself.
 uint64_t PageChecksum(std::span<const std::byte> page, size_t payload) {
-  uint64_t h = FnvDigest(page.data(), kChecksumOffset);
-  return FnvDigest(page.data() + kHeaderBytes, payload - kHeaderBytes, h);
+  const uint64_t h = PageHash(page.data(), kChecksumOffset, kShardPageMagic);
+  return PageHash(page.data() + kHeaderBytes, payload - kHeaderBytes, h);
 }
 
 /// Canonical-edge count of a shard: neighbours above the diagonal.
@@ -82,16 +83,11 @@ uint64_t ShardFingerprint(const ShardView& view) {
   // Covers the CSR slice only: global edge numbering is derivable, and
   // excluding it keeps the fingerprint a pure function of the rows — the
   // invalidation key for per-shard proximity cache entries.
-  uint64_t h = kShardFpSeed;
-  h = HashMix(h, view.node_begin);
-  h = HashMix(h, view.node_end);
   const size_t nodes = view.node_end - view.node_begin;
-  for (size_t i = 0; i <= nodes; ++i) h = HashMix(h, view.offsets[i]);
   const size_t adj = view.offsets[nodes] - view.adj_begin;
-  for (size_t k = 0; k < adj; ++k) {
-    h = HashMix(h, static_cast<uint64_t>(view.adjacency[k]));
-  }
-  return h;
+  uint64_t h = HashMix(HashMix(kShardFpSeed, view.node_begin), view.node_end);
+  h = PageHash(view.offsets, (nodes + 1) * sizeof(uint64_t), h);
+  return PageHash(view.adjacency, adj * sizeof(NodeId), h);
 }
 
 std::vector<std::pair<NodeId, NodeId>> PlanShardRanges(const Graph& graph,

@@ -15,12 +15,18 @@
 //   * SsdGraphStore reads shards from a PageFile through a fixed-budget
 //     BufferPool (one shard per page), with prefetch-next-shard support.
 //
-// Integrity: every shard has a fingerprint over its CSR slice (keys the
-// per-shard proximity cache and detects stale files), an on-disk checksum
-// (detects corruption before any field is trusted), and the manifest records
-// the whole-graph Graph::Fingerprint() — reproducible from the shards alone
-// via ComposeGraphFingerprint, so the sharded and in-memory representations
-// can be proven to describe the same graph without materializing it.
+// Integrity: every shard page carries a checksum over its payload (detects
+// corruption before any field is trusted), and every shard has a fingerprint
+// over its CSR slice (keys the per-shard proximity cache; recomputed on each
+// fresh load, it cross-checks the page against its manifest entry). Both are
+// PageHash values (util/digest.h), so a change confined to one aligned 8-byte
+// word is always detected and any other corruption carries 64-bit collision
+// odds, at memory speed. The manifest also records the whole-graph
+// Graph::Fingerprint() — reproducible from the shards alone via
+// ComposeGraphFingerprint, so the sharded and in-memory representations can
+// be proven to describe the same graph without materializing it. A directory
+// of another format version is rejected, never misread; rewrite it with
+// WriteGraphShards or ReadEdgeListToShards.
 
 #ifndef SEPRIVGEMB_GRAPH_SHARD_H_
 #define SEPRIVGEMB_GRAPH_SHARD_H_

@@ -49,6 +49,11 @@ struct WeightCase {
   std::vector<double> weights;
 };
 
+// Without this, GoogleTest prints the param as raw bytes, which include the
+// address of `name` and the vector's heap pointers; CTest discovery copies
+// that dump into the test name, so the name changed from build to build.
+void PrintTo(const WeightCase& c, std::ostream* os) { *os << c.name; }
+
 class AliasDistributionTest : public ::testing::TestWithParam<WeightCase> {};
 
 TEST_P(AliasDistributionTest, EmpiricalMatchesExpected) {

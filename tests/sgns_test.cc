@@ -113,6 +113,11 @@ struct GradCheckCase {
   double w_pos, w_neg;
 };
 
+// Without this, GoogleTest prints the param as raw bytes, which include the
+// address of `name`; CTest discovery copies that dump into the test name, so
+// the name changed with the build layout.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
+
 class SgnsGradCheckTest : public ::testing::TestWithParam<GradCheckCase> {};
 
 TEST_P(SgnsGradCheckTest, JointGradientMatchesFiniteDifference) {
