@@ -168,38 +168,41 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
     pos = group_end;
   }
 
-  // Phase 2 (serial, cheap): loss in sample order and touched lists in
+  // Phase 2 (serial, cheap): loss in sample order and slab slots in
   // first-touch sample order — both independent of worker scheduling.
+  // Touching may grow the slabs, so it finishes before phase 3 takes rows.
+  if (center_slots_.size() < m) center_slots_.resize(m);
+  if (context_slots_.size() < m * slot) context_slots_.resize(m * slot);
   double batch_loss = 0.0;
   for (size_t i = 0; i < m; ++i) {
     batch_loss += losses_[i];
-    grad_in_.Touch(centers_[i]);
+    center_slots_[i] = grad_in_.Touch(centers_[i]);
     const NodeId* nodes = context_nodes_.data() + i * slot;
+    uint32_t* slots = context_slots_.data() + i * slot;
     for (uint32_t k = 0; k < context_counts_[i]; ++k) {
-      grad_out_.Touch(nodes[k]);
+      slots[k] = grad_out_.Touch(nodes[k]);
     }
   }
 
-  // Phase 3: sample-order reduction, sharded by row ownership. Shard s adds
-  // only rows with id ≡ s (mod shards), walking samples in order — so every
-  // accumulator row receives its additions in exactly the serial order no
-  // matter how many shards run.
+  // Phase 3: sample-order reduction, sharded by slot ownership. Shard s adds
+  // only slab rows with slot ≡ s (mod shards), walking samples in order — so
+  // every accumulator row receives its additions in exactly the serial
+  // order no matter how many shards run.
   const size_t shards = pool_.num_threads();
   pool_.ParallelFor(shards, 1, [&](size_t begin, size_t end) {
     for (size_t shard = begin; shard < end; ++shard) {
       for (size_t i = 0; i < m; ++i) {
-        const NodeId center = centers_[i];
+        const uint32_t center = center_slots_[i];
         if (center % shards == shard) {
           kernels::Axpy(1.0, center_grads_.data() + i * dim,
-                        grad_in_.matrix().Row(center).data(), dim);
+                        grad_in_.SlotRow(center).data(), dim);
         }
-        const NodeId* nodes = context_nodes_.data() + i * slot;
+        const uint32_t* slots = context_slots_.data() + i * slot;
         const double* rows = context_grads_.data() + i * slot * dim;
         for (uint32_t k = 0; k < context_counts_[i]; ++k) {
-          const NodeId row = nodes[k];
-          if (row % shards != shard) continue;
+          if (slots[k] % shards != shard) continue;
           kernels::Axpy(1.0, rows + static_cast<size_t>(k) * dim,
-                        grad_out_.matrix().Row(row).data(), dim);
+                        grad_out_.SlotRow(slots[k]).data(), dim);
         }
       }
     }
@@ -214,33 +217,27 @@ void BatchGradientEngine::PerturbNonZero(double stddev, Rng& rng) {
   if (stddev == 0.0) return;
   // Runtime half of the privacy-flow contract: the accumulators now carry
   // DP noise, and ApplyUpdate forwards the sanitized bit into the model.
-  grad_in_.matrix().MarkDpSanitized();
-  grad_out_.matrix().MarkDpSanitized();
-  const std::vector<uint32_t>& in_rows = grad_in_.touched();
-  const std::vector<uint32_t>& out_rows = grad_out_.touched();
-  const size_t in_blocks = NumBlocks(in_rows.size());
-  const size_t out_blocks = NumBlocks(out_rows.size());
+  grad_in_.MarkDpSanitized();
+  grad_out_.MarkDpSanitized();
+  const size_t in_blocks = NumBlocks(grad_in_.touched().size());
+  const size_t out_blocks = NumBlocks(grad_out_.touched().size());
   const size_t dim = opts_.dim;
 
-  // Block b < in_blocks perturbs grad_in rows [b·R, ...); the rest map to
+  // Block b < in_blocks perturbs grad_in slots [b·R, ...); the rest map to
   // grad_out. Each block's noise comes from substream Fork(b), so the noise
   // a given touched row receives is a function of (master seed, epoch,
-  // position in the touched list) only.
+  // slot) only. A block's rows are contiguous in the slab, so one fill
+  // covers them.
   pool_.ParallelFor(in_blocks + out_blocks, 1, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       Rng block_rng = base.Fork(b);
       const bool is_in = b < in_blocks;
-      const std::vector<uint32_t>& rows = is_in ? in_rows : out_rows;
-      Matrix& mat = is_in ? grad_in_.matrix() : grad_out_.matrix();
-      const size_t block = is_in ? b : b - in_blocks;
-      const size_t lo = block * kNoiseBlockRows;
-      const size_t hi = std::min(rows.size(), lo + kNoiseBlockRows);
-      for (size_t r = lo; r < hi; ++r) {
-        // Block Gaussian fill: stream-identical to the scalar Normal() loop,
-        // so per-block noise streams are unchanged.
-        kernels::AccumulateGaussian(block_rng, mat.Row(rows[r]).data(), dim,
-                                    stddev);
-      }
+      const std::span<double> slab = is_in ? grad_in_.slab() : grad_out_.slab();
+      const size_t lo = (is_in ? b : b - in_blocks) * kNoiseBlockRows * dim;
+      const size_t hi = std::min(slab.size(), lo + kNoiseBlockRows * dim);
+      // Stream-identical to the scalar Normal() loop over the same rows.
+      kernels::AccumulateGaussian(block_rng, slab.data() + lo, hi - lo,
+                                  stddev);
     }
   });
 }
@@ -272,21 +269,23 @@ void BatchGradientEngine::PerturbNaiveIntoModel(SkipGramModel& model,
 void BatchGradientEngine::ApplyUpdate(SkipGramModel& model,
                                       double learning_rate) {
   const size_t dim = opts_.dim;
-  const auto apply = [&](const std::vector<uint32_t>& rows, Matrix& weights,
-                         const Matrix& grads) {
+  // Gather-axpy: slot s of the slab updates model row touched()[s].
+  const auto apply = [&](const SparseRowGrad& grads, Matrix& weights) {
+    const std::vector<uint32_t>& rows = grads.touched();
     pool_.ParallelFor(rows.size(), kApplyGrain, [&](size_t begin, size_t end) {
-      for (size_t r = begin; r < end; ++r) {
-        kernels::Axpy(-learning_rate, grads.Row(rows[r]).data(),
-                      weights.Row(rows[r]).data(), dim);
+      for (size_t s = begin; s < end; ++s) {
+        kernels::Axpy(-learning_rate,
+                      grads.SlotRow(static_cast<uint32_t>(s)).data(),
+                      weights.Row(rows[s]).data(), dim);
       }
     });
   };
-  apply(grad_in_.touched(), model.w_in, grad_in_.matrix());
-  apply(grad_out_.touched(), model.w_out, grad_out_.matrix());
+  apply(grad_in_, model.w_in);
+  apply(grad_out_, model.w_out);
   // Forward the runtime taint bit: once PerturbNonZero has noised the
   // accumulators, the model rows they update are DP-sanitized output.
-  if (grad_in_.matrix().dp_sanitized()) model.w_in.MarkDpSanitized();
-  if (grad_out_.matrix().dp_sanitized()) model.w_out.MarkDpSanitized();
+  if (grad_in_.dp_sanitized()) model.w_in.MarkDpSanitized();
+  if (grad_out_.dp_sanitized()) model.w_out.MarkDpSanitized();
   grad_in_.Clear();
   grad_out_.Clear();
 }

@@ -8,12 +8,13 @@
 //   1. gradient phase — workers compute ComputeSgnsGradient + per-sample
 //      clipping into preallocated per-sample scratch slots (no allocation on
 //      the hot path); which worker computes a sample never affects its slot;
-//   2. touch phase   — the touched-row lists are built serially in
+//   2. touch phase   — the touched-row lists, and with them each row's
+//      slab slot (core/sparse_row_grad.h), are built serially in
 //      first-touch sample order, so they are independent of scheduling;
-//   3. reduce phase  — accumulator rows are partitioned over workers by
-//      row id; every worker walks the batch in sample order and adds only
-//      the rows it owns, so each row receives its floating-point additions
-//      in exactly the serial order regardless of the partition;
+//   3. reduce phase  — slab rows are partitioned over workers by slot;
+//      every worker walks the batch in sample order and adds only the rows
+//      it owns, so each row receives its floating-point additions in
+//      exactly the serial order regardless of the partition;
 //   4. noise phase   — Gaussian perturbation (both the non-zero Eq. 9 and
 //      naive Eq. 6 strategies) is generated in fixed-size row blocks, each
 //      block drawing from its own Rng::Fork(block) substream.
@@ -22,8 +23,8 @@
 // phases 1 and 4 scheduling-invariant.
 //
 // Thread-safety model: the engine holds NO locks of its own — every phase
-// partitions its writes by ownership (per-sample scratch slots, per-row
-// reduction ownership, per-block noise streams) and synchronises only
+// partitions its writes by ownership (per-sample scratch slots, per-slot
+// reduction ownership, per-block noise ranges) and synchronises only
 // through ThreadPool::ParallelFor's fork/join barrier, whose internal
 // discipline is machine-checked via the annotated Mutex (util/mutex.h,
 // -Wthread-safety under clang). An AccumulateBatch/Perturb*/ApplyUpdate
@@ -223,7 +224,9 @@ class BatchGradientEngine {
   std::vector<NodeId> context_nodes_;
   std::vector<uint32_t> context_counts_;
   std::vector<double> losses_;
-  std::vector<NodeId> centers_;   // sample i's center, for phases 2–3
+  std::vector<NodeId> centers_;   // sample i's center, for phase 2
+  std::vector<uint32_t> center_slots_;   // phase 2's grad_in slot of sample i
+  std::vector<uint32_t> context_slots_;  // grad_out slots, context_nodes_ shape
   std::vector<uint32_t> order_;   // shard-sorted visit order of batch slots
 };
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "core/sparse_row_grad.h"
 #include "eval/strucequ.h"
@@ -33,6 +35,17 @@ SePrivGEmbConfig SmallConfig() {
   return cfg;
 }
 
+// Dense rows×cols copy of the accumulator: slot s holds row touched()[s],
+// every other row is zero.
+Matrix DenseCopy(const SparseRowGrad& g, size_t rows) {
+  Matrix m(rows, g.cols());
+  for (size_t s = 0; s < g.touched().size(); ++s) {
+    const auto src = g.SlotRow(static_cast<uint32_t>(s));
+    std::copy(src.begin(), src.end(), m.Row(g.touched()[s]).begin());
+  }
+  return m;
+}
+
 TEST(SparseRowGradTest, TracksTouchedRows) {
   SparseRowGrad g(5, 3);
   const double row[3] = {1.0, 2.0, 3.0};
@@ -40,11 +53,11 @@ TEST(SparseRowGradTest, TracksTouchedRows) {
   g.AddToRow(3, row);
   g.AddToRow(1, row);  // repeat should not duplicate
   ASSERT_EQ(g.touched().size(), 2u);
-  EXPECT_EQ(g.matrix()(1, 0), 2.0);
-  EXPECT_EQ(g.matrix()(3, 2), 3.0);
+  EXPECT_EQ(DenseCopy(g, 5)(1, 0), 2.0);
+  EXPECT_EQ(DenseCopy(g, 5)(3, 2), 3.0);
   g.Clear();
   EXPECT_TRUE(g.touched().empty());
-  EXPECT_EQ(g.matrix()(1, 0), 0.0);
+  EXPECT_EQ(DenseCopy(g, 5)(1, 0), 0.0);
 }
 
 TEST(SparseRowGradTest, ClearOnlyAffectsTouched) {
@@ -53,8 +66,29 @@ TEST(SparseRowGradTest, ClearOnlyAffectsTouched) {
   g.AddToRow(0, row);
   g.Clear();
   g.AddToRow(2, row);
-  EXPECT_EQ(g.matrix()(2, 1), 5.0);
-  EXPECT_EQ(g.matrix()(0, 0), 0.0);
+  EXPECT_EQ(DenseCopy(g, 4)(2, 1), 5.0);
+  EXPECT_EQ(DenseCopy(g, 4)(0, 0), 0.0);
+}
+
+TEST(SparseRowGradTest, ClearReusesSlotsFromZeroAndRowsStartAtZero) {
+  SparseRowGrad g(6, 3);
+  const double row[3] = {1.5, -2.0, 4.0};
+  for (uint32_t r : {4u, 1u, 5u}) g.AddToRow(r, row);
+  ASSERT_EQ(g.slab().size(), 9u);
+  g.Clear();
+  EXPECT_TRUE(g.slab().empty());
+  // New rows, and one of the old ones, take slots 0, 1, 2 in touch order.
+  EXPECT_EQ(g.Touch(2), 0u);
+  EXPECT_EQ(g.Touch(5), 1u);
+  EXPECT_EQ(g.Touch(2), 0u);
+  EXPECT_EQ(g.Touch(0), 2u);
+  EXPECT_EQ(g.touched(), (std::vector<uint32_t>{2, 5, 0}));
+  for (uint32_t s = 0; s < 3; ++s) {
+    for (double x : g.SlotRow(s)) EXPECT_EQ(x, 0.0) << "slot " << s;
+  }
+  g.AddToRow(5, row);
+  EXPECT_EQ(DenseCopy(g, 6)(5, 2), 4.0);
+  EXPECT_EQ(DenseCopy(g, 6)(4, 2), 0.0);
 }
 
 TEST(TrainerTest, NonPrivateRunsAllEpochs) {
