@@ -14,10 +14,14 @@ namespace {
 // B=128 batch over 8 workers, large enough to amortise chunk dispatch.
 constexpr size_t kSampleGrain = 8;
 
-// Rows per noise substream. Fixed (never derived from the thread count) so
-// the noise a given row receives depends only on the master seed and the
-// row's position, keeping output thread-count invariant.
+// Rows per noise task: a scheduling grain only. Each draw is a pure
+// function of (key, stream, index), so neither this nor the thread count
+// can change the noise.
 constexpr size_t kNoiseBlockRows = 32;
+
+// Noise streams of the counter-based generator: one per parameter matrix.
+constexpr uint64_t kStreamIn = 0;   // grad_in / w_in
+constexpr uint64_t kStreamOut = 1;  // grad_out / w_out
 
 // Touched rows per chunk in the apply phase.
 constexpr size_t kApplyGrain = 64;
@@ -213,7 +217,7 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
 }
 
 void BatchGradientEngine::PerturbNonZero(double stddev, Rng& rng) {
-  const Rng base = rng.Fork();  // one master draw per perturbation
+  const uint64_t key = rng.Next();  // one master draw per perturbation
   if (stddev == 0.0) return;
   // Runtime half of the privacy-flow contract: the accumulators now carry
   // DP noise, and ApplyUpdate forwards the sanitized bit into the model.
@@ -224,20 +228,18 @@ void BatchGradientEngine::PerturbNonZero(double stddev, Rng& rng) {
   const size_t dim = opts_.dim;
 
   // Block b < in_blocks perturbs grad_in slots [b·R, ...); the rest map to
-  // grad_out. Each block's noise comes from substream Fork(b), so the noise
-  // a given touched row receives is a function of (master seed, epoch,
-  // slot) only. A block's rows are contiguous in the slab, so one fill
-  // covers them.
+  // grad_out. Slab element slot·dim + column receives draw Z(key, stream,
+  // slot·dim + column), so the noise a touched row receives is a function
+  // of (master seed, epoch, matrix, slot) only. A block's rows are
+  // contiguous in the slab, so one fill covers them.
   pool_.ParallelFor(in_blocks + out_blocks, 1, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
-      Rng block_rng = base.Fork(b);
       const bool is_in = b < in_blocks;
       const std::span<double> slab = is_in ? grad_in_.slab() : grad_out_.slab();
       const size_t lo = (is_in ? b : b - in_blocks) * kNoiseBlockRows * dim;
       const size_t hi = std::min(slab.size(), lo + kNoiseBlockRows * dim);
-      // Stream-identical to the scalar Normal() loop over the same rows.
-      kernels::AccumulateGaussian(block_rng, slab.data() + lo, hi - lo,
-                                  stddev);
+      kernels::GaussianAccumulate(key, is_in ? kStreamIn : kStreamOut, lo,
+                                  slab.data() + lo, hi - lo, stddev);
     }
   });
 }
@@ -245,23 +247,23 @@ void BatchGradientEngine::PerturbNonZero(double stddev, Rng& rng) {
 void BatchGradientEngine::PerturbNaiveIntoModel(SkipGramModel& model,
                                                 double learning_rate,
                                                 double stddev, Rng& rng) {
-  const Rng base = rng.Fork();
+  const uint64_t key = rng.Next();  // one master draw per perturbation
   if (stddev == 0.0) return;
   model.w_in.MarkDpSanitized();
   model.w_out.MarkDpSanitized();
   const size_t n = opts_.num_nodes;
   const size_t dim = opts_.dim;
+  const double scale = -learning_rate * stddev;
+  // Element node·dim + column of each matrix receives Z(key, stream, same).
   pool_.ParallelFor(NumBlocks(n), 1, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
-      Rng block_rng = base.Fork(b);
-      const size_t lo = b * kNoiseBlockRows;
-      const size_t hi = std::min(n, lo + kNoiseBlockRows);
-      for (size_t v = lo; v < hi; ++v) {
-        kernels::AccumulateGaussian(block_rng, model.w_in.Row(v).data(), dim,
-                                    stddev, -learning_rate);
-        kernels::AccumulateGaussian(block_rng, model.w_out.Row(v).data(), dim,
-                                    stddev, -learning_rate);
-      }
+      const size_t lo = b * kNoiseBlockRows * dim;
+      const size_t len = (std::min(n, (b + 1) * kNoiseBlockRows) -
+                          b * kNoiseBlockRows) * dim;
+      kernels::GaussianAccumulate(key, kStreamIn, lo, model.w_in.data() + lo,
+                                  len, scale);
+      kernels::GaussianAccumulate(key, kStreamOut, lo, model.w_out.data() + lo,
+                                  len, scale);
     }
   });
 }

@@ -16,11 +16,16 @@
 //      it owns, so each row receives its floating-point additions in
 //      exactly the serial order regardless of the partition;
 //   4. noise phase   — Gaussian perturbation (both the non-zero Eq. 9 and
-//      naive Eq. 6 strategies) is generated in fixed-size row blocks, each
-//      block drawing from its own Rng::Fork(block) substream.
+//      naive Eq. 6 strategies) comes from the counter-based generator
+//      kernels::GaussianAccumulate: one master draw keys the call, stream
+//      0 is grad_in/w_in and stream 1 grad_out/w_out, and element
+//      slot·dim + column of the slab (node·dim + column of the model on
+//      the naive path) receives draw Z(key, stream, that index). The noise
+//      is a pure function of those coordinates, so it cannot depend on the
+//      thread count or on the row blocks the pool schedules.
 //
-// Fixed block/grain sizes (never derived from num_threads) are what make
-// phases 1 and 4 scheduling-invariant.
+// Fixed grain sizes (never derived from num_threads) make phase 1
+// scheduling-invariant; phase 4 is invariant by construction.
 //
 // Thread-safety model: the engine holds NO locks of its own — every phase
 // partitions its writes by ownership (per-sample scratch slots, per-slot
@@ -182,16 +187,16 @@ class BatchGradientEngine {
                             std::span<const uint32_t> batch, double* loss);
 
   /// Ñ(·) of Eq. (9): adds N(0, stddev²) to every touched accumulator row,
-  /// generated in row blocks on the pool. Consumes one draw from `rng` to
-  /// key the epoch's noise substreams. Marks the accumulators dp-sanitized
+  /// generated in row blocks on the pool. Consumes one draw from `rng` as
+  /// the key of the epoch's noise. Marks the accumulators dp-sanitized
   /// (stddev > 0); ApplyUpdate forwards the bit to the model.
   SEPRIV_DP_SANITIZER
   void PerturbNonZero(double stddev, Rng& rng);
 
   /// Eq. (6): dense noise on every row of both model matrices, applied
   /// directly as  w -= lr · N(0, stddev²)  so the accumulators' touched-row
-  /// invariant stays intact. Row-block parallel, same substream scheme.
-  /// Marks the model matrices dp-sanitized (stddev > 0).
+  /// invariant stays intact. Row-block parallel, same keying as
+  /// PerturbNonZero. Marks the model matrices dp-sanitized (stddev > 0).
   SEPRIV_DP_SANITIZER
   void PerturbNaiveIntoModel(SkipGramModel& model, double learning_rate,
                              double stddev, Rng& rng);

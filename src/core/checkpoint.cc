@@ -13,7 +13,10 @@ namespace {
 constexpr uint64_t kCheckpointMagic = 0x4b43564952504553ULL;
 // v2: storage-mode word after config_digest, and a per-matrix precision tag
 // selecting a float64 or (lossless, see header) float32 payload.
-constexpr uint64_t kCheckpointVersion = 2;
+// v3: same layout; the engine's noise moved to the counter-based generator,
+// so a v2 model resumed now would splice two noise streams into a run that
+// neither binary produces from scratch.
+constexpr uint64_t kCheckpointVersion = 3;
 
 // Per-matrix precision tags.
 constexpr uint64_t kPrecisionF64 = 0;

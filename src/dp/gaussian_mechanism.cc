@@ -12,15 +12,6 @@ void AddGaussianNoise(std::span<double> values, double stddev, Rng& rng) {
   kernels::AccumulateGaussian(rng, values.data(), values.size(), stddev);
 }
 
-void AddGaussianNoiseToRows(Matrix& m, std::span<const uint32_t> rows,
-                            double stddev, Rng& rng) {
-  for (uint32_t r : rows) {
-    SEPRIV_CHECK(r < m.rows(), "row %u out of range (%zu rows)", r, m.rows());
-    AddGaussianNoise(m.Row(r), stddev, rng);
-  }
-  if (stddev > 0.0) m.MarkDpSanitized();
-}
-
 void AddGaussianNoiseToAllRows(Matrix& m, double stddev, Rng& rng) {
   AddGaussianNoise({m.data(), m.size()}, stddev, rng);
   if (stddev > 0.0) m.MarkDpSanitized();

@@ -18,14 +18,6 @@ namespace sepriv {
 SEPRIV_DP_SANITIZER
 void AddGaussianNoise(std::span<double> values, double stddev, Rng& rng);
 
-/// Adds i.i.d. N(0, stddev²) noise to the listed rows of `m` only — the
-/// non-zero perturbation Ñ(·) of paper Eq. (9). Rows may repeat; repeated
-/// entries receive a single noise draw (callers pass de-duplicated lists).
-/// Marks `m` dp-sanitized when stddev > 0.
-SEPRIV_DP_SANITIZER
-void AddGaussianNoiseToRows(Matrix& m, std::span<const uint32_t> rows,
-                            double stddev, Rng& rng);
-
 /// Adds i.i.d. N(0, stddev²) noise to every row of `m` — the naive
 /// perturbation of paper Eq. (6). Marks `m` dp-sanitized when stddev > 0.
 SEPRIV_DP_SANITIZER

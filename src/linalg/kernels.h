@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "linalg/simd/dispatch.h"
@@ -101,6 +102,30 @@ inline double SgnsAccumulate(const double* vi, const double* vn, size_t dim,
                              double* center_grad, double* ctx_row) {
   return simd::ActiveKernels().sgns_accumulate(vi, vn, dim, weight, indicator,
                                                center_grad, ctx_row);
+}
+
+// ---------------------------------------------------------------------------
+// Counter-based Gaussian noise (dispatched).
+//
+// Z(key, stream, i) is standard normal draw i of a stream: one
+// Philox4x32-10 block per pair of draws feeds Box–Muller with in-house
+// log/sincos polynomials (the definition is in linalg/simd/philox_gaussian.h).
+// A draw is a pure function of its coordinates — no generator state — so
+// any split of a range over calls, threads or blocks yields the same
+// values, and every dispatch level yields the same bits.
+//
+// Precision, measured by tests/kernels_test.cc against long-double libm
+// over every binade of u1 down to 2^-65 and a dense grid of u2: every draw
+// is within 4 ulp of r·cos θ / r·sin θ evaluated at the same (u1, u2).
+// |Z| ≤ sqrt(-2 ln 2^-65) ≈ 9.4926, so the draws miss the Gaussian tail
+// mass beyond it, P(|N(0,1)| > 9.4926) ≈ 2.3e-21 per coordinate.
+// ---------------------------------------------------------------------------
+
+/// dst[t] += scale · Z(key, stream, first + t) for t < n, as one fma per
+/// element. first + n must not exceed 2^64.
+inline void GaussianAccumulate(uint64_t key, uint64_t stream, uint64_t first,
+                               double* dst, size_t n, double scale) {
+  simd::ActiveKernels().gaussian_accumulate(key, stream, first, dst, n, scale);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@
 //     blocking only reorders independent elements, never the per-element
 //     chain. The cache-blocking driver (tile geometry, thread fan-out)
 //     stays in kernels.cc and is shared by all levels.
+//   * Counter-based Gaussian noise: each draw is a pure function of (key,
+//     stream, index) built only from exact IEEE operations and single fmas
+//     (linalg/simd/philox_gaussian.h), so a level computes one Philox block
+//     and one Box–Muller pair per lane and matches the scalar definition
+//     for every draw, whatever its width, the start index, or the length.
 //
 // The scalar implementation is the semantic reference: a SIMD level is
 // correct iff it reproduces the scalar level bit-for-bit (enforced by
@@ -32,6 +37,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/simd/cpu_features.h"
 
@@ -84,6 +90,10 @@ struct KernelTable {
   void (*gemm_nt_tile)(const double* a, const double* b, double* c, size_t k,
                        size_t n, size_t i0, size_t i1, size_t j0,
                        size_t j1) = nullptr;
+
+  /// dst[t] = fma(scale, Z(key, stream, first + t), dst[t]) for t < n.
+  void (*gaussian_accumulate)(uint64_t key, uint64_t stream, uint64_t first,
+                              double* dst, size_t n, double scale) = nullptr;
 };
 
 /// Per-level tables. The scalar table always exists; the AVX tables are

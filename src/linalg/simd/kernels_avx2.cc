@@ -19,8 +19,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernels.h"
+#include "linalg/simd/philox_gaussian.h"
 
 namespace sepriv::simd {
 namespace {
@@ -283,6 +285,183 @@ void GemmNTTileAvx2(const double* a, const double* b, double* c, size_t k,
   }
 }
 
+// --- Counter-based Gaussian (linalg/simd/philox_gaussian.h) ----------------
+//
+// Four Philox blocks per register, one per 64-bit lane, each 32-bit word in
+// the low half of its lane: _mm256_mul_epu32 reads only low halves, so high
+// halves may hold garbage until the words are masked. Integer-to-double
+// conversions use the 2^52 bias trick (exact for values below 2^52).
+
+struct NoiseKey256 {
+  __m256i k0[philox::kRounds];  // round keys, broadcast
+  __m256i k1[philox::kRounds];
+  __m256i s_lo;  // stream words
+  __m256i s_hi;
+};
+
+NoiseKey256 MakeNoiseKey256(uint64_t key, uint64_t stream) {
+  NoiseKey256 nk;
+  uint32_t k0 = static_cast<uint32_t>(key);
+  uint32_t k1 = static_cast<uint32_t>(key >> 32);
+  for (int r = 0; r < philox::kRounds; ++r) {
+    if (r > 0) {
+      k0 += philox::kW0;
+      k1 += philox::kW1;
+    }
+    nk.k0[r] = _mm256_set1_epi64x(k0);
+    nk.k1[r] = _mm256_set1_epi64x(k1);
+  }
+  nk.s_lo = _mm256_set1_epi64x(static_cast<uint32_t>(stream));
+  nk.s_hi = _mm256_set1_epi64x(static_cast<uint32_t>(stream >> 32));
+  return nk;
+}
+
+// Exact double of each lane's value, which must be below 2^52.
+inline __m256d ExactToDouble(__m256i v) {
+  const __m256i bias = _mm256_set1_epi64x(0x4330000000000000LL);  // 2^52
+  return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(v, bias)),
+                       _mm256_set1_pd(0x1p52));
+}
+
+inline __m256i Xor3(__m256i a, __m256i b, __m256i c) {
+  return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
+}
+
+// Draws 2j and 2j+1 of pairs j = j0 .. j0+3: lane l of *z_even/*z_odd.
+inline void GaussianPairs4(const NoiseKey256& nk, uint64_t j0, __m256d* z_even,
+                           __m256d* z_odd) {
+  const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256i j =
+      _mm256_add_epi64(_mm256_set1_epi64x(static_cast<int64_t>(j0)),
+                       _mm256_set_epi64x(3, 2, 1, 0));
+  __m256i c0 = j;
+  __m256i c1 = _mm256_srli_epi64(j, 32);
+  __m256i c2 = nk.s_lo;
+  __m256i c3 = nk.s_hi;
+  const __m256i m0 = _mm256_set1_epi64x(philox::kM0);
+  const __m256i m1 = _mm256_set1_epi64x(philox::kM1);
+  for (int r = 0; r < philox::kRounds; ++r) {
+    const __m256i p0 = _mm256_mul_epu32(c0, m0);
+    const __m256i p1 = _mm256_mul_epu32(c2, m1);
+    c0 = Xor3(_mm256_srli_epi64(p1, 32), c1, nk.k0[r]);
+    c2 = Xor3(_mm256_srli_epi64(p0, 32), c3, nk.k1[r]);
+    c1 = p1;
+    c3 = p0;
+  }
+
+  // u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32.
+  const __m256d x0 = ExactToDouble(_mm256_and_si256(c0, lo32));
+  const __m256d x1 = ExactToDouble(_mm256_and_si256(c1, lo32));
+  const __m256d u1 = _mm256_mul_pd(
+      _mm256_fmadd_pd(_mm256_add_pd(x1, _mm256_set1_pd(0.5)),
+                      _mm256_set1_pd(0x1p-32), x0),
+      _mm256_set1_pd(0x1p-32));
+
+  // ln u1 = e·ln 2 + ln m, m ∈ [√½, √2).
+  const __m256i sqrt_half = _mm256_set1_epi64x(philox::kSqrtHalfBits);
+  const __m256i d = _mm256_sub_epi64(_mm256_castpd_si256(u1), sqrt_half);
+  const __m256i biased = _mm256_srli_epi64(
+      _mm256_add_epi64(d, _mm256_set1_epi64x(0x3FF0000000000000LL)), 52);
+  const __m256d m = _mm256_castsi256_pd(_mm256_add_epi64(
+      _mm256_and_si256(d, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
+      sqrt_half));
+  const __m256d e =
+      _mm256_sub_pd(ExactToDouble(biased), _mm256_set1_pd(1023.0));
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d s =
+      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+  const __m256d z = _mm256_mul_pd(s, s);
+  __m256d q = _mm256_set1_pd(philox::kLogQ[0]);
+  for (int k = 1; k < 10; ++k) {
+    q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(philox::kLogQ[k]));
+  }
+  const __m256d ln_m =
+      _mm256_fmadd_pd(s, _mm256_mul_pd(z, q), _mm256_add_pd(s, s));
+  const __m256d ln_u1 = _mm256_fmadd_pd(
+      e, _mm256_set1_pd(philox::kLn2Hi),
+      _mm256_fmadd_pd(e, _mm256_set1_pd(philox::kLn2Lo), ln_m));
+  const __m256d r =
+      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_u1));
+
+  // θ = (π/2)·(quadrant + t).
+  const __m256i angle =
+      _mm256_or_si256(_mm256_slli_epi64(_mm256_and_si256(c2, lo32), 20),
+                      _mm256_srli_epi64(_mm256_and_si256(c3, lo32), 12));
+  const __m256i rounded =
+      _mm256_add_epi64(angle, _mm256_set1_epi64x(int64_t{1} << 49));
+  const __m256i quadrant = _mm256_and_si256(_mm256_srli_epi64(rounded, 50),
+                                            _mm256_set1_epi64x(3));
+  const __m256i rem_biased = _mm256_and_si256(  // t·2^50 + 2^49
+      rounded, _mm256_set1_epi64x((int64_t{1} << 50) - 1));
+  const __m256d t = _mm256_mul_pd(
+      _mm256_sub_pd(ExactToDouble(rem_biased), _mm256_set1_pd(0x1p49)),
+      _mm256_set1_pd(0x1p-50));
+  const __m256d w = _mm256_mul_pd(t, t);
+  __m256d sp = _mm256_set1_pd(philox::kSin[0]);
+  __m256d cp = _mm256_set1_pd(philox::kCos[0]);
+  for (int k = 1; k < 9; ++k) {
+    sp = _mm256_fmadd_pd(sp, w, _mm256_set1_pd(philox::kSin[k]));
+    cp = _mm256_fmadd_pd(cp, w, _mm256_set1_pd(philox::kCos[k]));
+  }
+  const __m256d sin_t = _mm256_mul_pd(t, sp);
+  // blendv selects on the sign bit: bit 0 of the quadrant moved to bit 63.
+  const __m256d odd = _mm256_castsi256_pd(_mm256_slli_epi64(quadrant, 63));
+  const __m256i two = _mm256_set1_epi64x(2);
+  const __m256d neg_cos = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(quadrant, _mm256_set1_epi64x(1)), two),
+      62));
+  const __m256d neg_sin =
+      _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(quadrant, two), 62));
+  const __m256d cos_theta =
+      _mm256_xor_pd(_mm256_blendv_pd(cp, sin_t, odd), neg_cos);
+  const __m256d sin_theta =
+      _mm256_xor_pd(_mm256_blendv_pd(sin_t, cp, odd), neg_sin);
+  *z_even = _mm256_mul_pd(r, cos_theta);
+  *z_odd = _mm256_mul_pd(r, sin_theta);
+}
+
+// The 8 draws 2·j0 .. 2·j0+7 in index order.
+inline void GaussianDraws8(const NoiseKey256& nk, uint64_t j0, __m256d* lo,
+                           __m256d* hi) {
+  __m256d z_even, z_odd;
+  GaussianPairs4(nk, j0, &z_even, &z_odd);
+  const __m256d a = _mm256_unpacklo_pd(z_even, z_odd);  // e0 o0 e2 o2
+  const __m256d b = _mm256_unpackhi_pd(z_even, z_odd);  // e1 o1 e3 o3
+  *lo = _mm256_permute2f128_pd(a, b, 0x20);             // e0 o0 e1 o1
+  *hi = _mm256_permute2f128_pd(a, b, 0x31);             // e2 o2 e3 o3
+}
+
+void GaussianAccumulateAvx2(uint64_t key, uint64_t stream, uint64_t first,
+                            double* dst, size_t n, double scale) {
+  if (n == 0) return;
+  const NoiseKey256 nk = MakeNoiseKey256(key, stream);
+  const __m256d sv = _mm256_set1_pd(scale);
+  const uint64_t end = first + n;
+  uint64_t i = first;
+  double* out = dst;
+  alignas(32) double buf[8];
+  __m256d lo, hi;
+  if ((i & 1) != 0) {  // odd start: the sin half of pair i/2
+    GaussianDraws8(nk, i >> 1, &lo, &hi);
+    _mm256_store_pd(buf, lo);
+    *out = std::fma(scale, buf[1], *out);
+    ++out;
+    ++i;
+  }
+  for (; end - i >= 8; i += 8, out += 8) {
+    GaussianDraws8(nk, i >> 1, &lo, &hi);
+    _mm256_storeu_pd(out, _mm256_fmadd_pd(sv, lo, _mm256_loadu_pd(out)));
+    _mm256_storeu_pd(out + 4,
+                     _mm256_fmadd_pd(sv, hi, _mm256_loadu_pd(out + 4)));
+  }
+  if (i < end) {
+    GaussianDraws8(nk, i >> 1, &lo, &hi);
+    _mm256_store_pd(buf, lo);
+    _mm256_store_pd(buf + 4, hi);
+    for (size_t t = 0; t < end - i; ++t) out[t] = std::fma(scale, buf[t], out[t]);
+  }
+}
+
 const KernelTable kAvx2Table = {
     Level::kAvx2,
     "avx2",
@@ -295,6 +474,7 @@ const KernelTable kAvx2Table = {
     &SgnsAccumulateAvx2,
     &GemmTileAvx2,
     &GemmNTTileAvx2,
+    &GaussianAccumulateAvx2,
 };
 
 }  // namespace

@@ -26,8 +26,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernels.h"
+#include "linalg/simd/philox_gaussian.h"
 
 namespace sepriv::simd {
 namespace {
@@ -298,6 +300,180 @@ void GemmNTTileAvx512(const double* a, const double* b, double* c, size_t k,
   }
 }
 
+// --- Counter-based Gaussian (linalg/simd/philox_gaussian.h) ----------------
+//
+// Eight Philox blocks per register, one per 64-bit lane, each 32-bit word in
+// the low half of its lane: _mm512_mul_epu32 (AVX-512F, no DQ needed) reads
+// only low halves, so high halves may hold garbage until the words are
+// masked. Integer-to-double conversions use the 2^52 bias trick (exact for
+// values below 2^52), since AVX-512F has no int64 conversion.
+
+struct NoiseKey512 {
+  __m512i k0[philox::kRounds];  // round keys, broadcast
+  __m512i k1[philox::kRounds];
+  __m512i s_lo;  // stream words
+  __m512i s_hi;
+};
+
+NoiseKey512 MakeNoiseKey512(uint64_t key, uint64_t stream) {
+  NoiseKey512 nk;
+  uint32_t k0 = static_cast<uint32_t>(key);
+  uint32_t k1 = static_cast<uint32_t>(key >> 32);
+  for (int r = 0; r < philox::kRounds; ++r) {
+    if (r > 0) {
+      k0 += philox::kW0;
+      k1 += philox::kW1;
+    }
+    nk.k0[r] = _mm512_set1_epi64(k0);
+    nk.k1[r] = _mm512_set1_epi64(k1);
+  }
+  nk.s_lo = _mm512_set1_epi64(static_cast<uint32_t>(stream));
+  nk.s_hi = _mm512_set1_epi64(static_cast<uint32_t>(stream >> 32));
+  return nk;
+}
+
+// Exact double of the low 32 bits of each lane (or of any value < 2^52).
+inline __m512d ExactToDouble(__m512i v) {
+  const __m512i bias = _mm512_set1_epi64(0x4330000000000000LL);  // 2^52
+  return _mm512_sub_pd(_mm512_castsi512_pd(_mm512_or_si512(v, bias)),
+                       _mm512_set1_pd(0x1p52));
+}
+
+// Draws 2j and 2j+1 of pairs j = j0 .. j0+7: lane l of *z_even/*z_odd.
+inline void GaussianPairs8(const NoiseKey512& nk, uint64_t j0, __m512d* z_even,
+                           __m512d* z_odd) {
+  const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
+  const __m512i j = _mm512_add_epi64(_mm512_set1_epi64(static_cast<int64_t>(j0)),
+                                     _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+  __m512i c0 = j;
+  __m512i c1 = _mm512_srli_epi64(j, 32);
+  __m512i c2 = nk.s_lo;
+  __m512i c3 = nk.s_hi;
+  const __m512i m0 = _mm512_set1_epi64(philox::kM0);
+  const __m512i m1 = _mm512_set1_epi64(philox::kM1);
+  for (int r = 0; r < philox::kRounds; ++r) {
+    const __m512i p0 = _mm512_mul_epu32(c0, m0);
+    const __m512i p1 = _mm512_mul_epu32(c2, m1);
+    // 0x96: three-way xor.
+    c0 = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p1, 32), c1, nk.k0[r],
+                                   0x96);
+    c2 = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p0, 32), c3, nk.k1[r],
+                                   0x96);
+    c1 = p1;
+    c3 = p0;
+  }
+
+  // u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32.
+  const __m512d x0 = ExactToDouble(_mm512_and_si512(c0, lo32));
+  const __m512d x1 = ExactToDouble(_mm512_and_si512(c1, lo32));
+  const __m512d u1 = _mm512_mul_pd(
+      _mm512_fmadd_pd(_mm512_add_pd(x1, _mm512_set1_pd(0.5)),
+                      _mm512_set1_pd(0x1p-32), x0),
+      _mm512_set1_pd(0x1p-32));
+
+  // ln u1 = e·ln 2 + ln m, m ∈ [√½, √2).
+  const __m512i sqrt_half = _mm512_set1_epi64(philox::kSqrtHalfBits);
+  const __m512i d = _mm512_sub_epi64(_mm512_castpd_si512(u1), sqrt_half);
+  const __m512i biased = _mm512_srli_epi64(
+      _mm512_add_epi64(d, _mm512_set1_epi64(0x3FF0000000000000LL)), 52);
+  const __m512d m = _mm512_castsi512_pd(_mm512_add_epi64(
+      _mm512_and_si512(d, _mm512_set1_epi64(0x000FFFFFFFFFFFFFLL)),
+      sqrt_half));
+  const __m512d e =
+      _mm512_sub_pd(ExactToDouble(biased), _mm512_set1_pd(1023.0));
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d s =
+      _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
+  const __m512d z = _mm512_mul_pd(s, s);
+  __m512d q = _mm512_set1_pd(philox::kLogQ[0]);
+  for (int k = 1; k < 10; ++k) {
+    q = _mm512_fmadd_pd(q, z, _mm512_set1_pd(philox::kLogQ[k]));
+  }
+  const __m512d ln_m =
+      _mm512_fmadd_pd(s, _mm512_mul_pd(z, q), _mm512_add_pd(s, s));
+  const __m512d ln_u1 = _mm512_fmadd_pd(
+      e, _mm512_set1_pd(philox::kLn2Hi),
+      _mm512_fmadd_pd(e, _mm512_set1_pd(philox::kLn2Lo), ln_m));
+  const __m512d r =
+      _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(-2.0), ln_u1));
+
+  // θ = (π/2)·(quadrant + t).
+  const __m512i angle =
+      _mm512_or_si512(_mm512_slli_epi64(_mm512_and_si512(c2, lo32), 20),
+                      _mm512_srli_epi64(_mm512_and_si512(c3, lo32), 12));
+  const __m512i rounded =
+      _mm512_add_epi64(angle, _mm512_set1_epi64(int64_t{1} << 49));
+  const __m512i quadrant =
+      _mm512_and_si512(_mm512_srli_epi64(rounded, 50), _mm512_set1_epi64(3));
+  const __m512i rem_biased = _mm512_and_si512(  // t·2^50 + 2^49
+      rounded, _mm512_set1_epi64((int64_t{1} << 50) - 1));
+  const __m512d t = _mm512_mul_pd(
+      _mm512_sub_pd(ExactToDouble(rem_biased), _mm512_set1_pd(0x1p49)),
+      _mm512_set1_pd(0x1p-50));
+  const __m512d w = _mm512_mul_pd(t, t);
+  __m512d sp = _mm512_set1_pd(philox::kSin[0]);
+  __m512d cp = _mm512_set1_pd(philox::kCos[0]);
+  for (int k = 1; k < 9; ++k) {
+    sp = _mm512_fmadd_pd(sp, w, _mm512_set1_pd(philox::kSin[k]));
+    cp = _mm512_fmadd_pd(cp, w, _mm512_set1_pd(philox::kCos[k]));
+  }
+  const __m512d sin_t = _mm512_mul_pd(t, sp);
+  const __mmask8 odd = _mm512_test_epi64_mask(quadrant, _mm512_set1_epi64(1));
+  const __m512i two = _mm512_set1_epi64(2);
+  const __m512i neg_cos = _mm512_slli_epi64(
+      _mm512_and_si512(_mm512_add_epi64(quadrant, _mm512_set1_epi64(1)), two),
+      62);
+  const __m512i neg_sin = _mm512_slli_epi64(_mm512_and_si512(quadrant, two), 62);
+  const __m512d cos_theta = _mm512_castsi512_pd(_mm512_xor_si512(
+      _mm512_castpd_si512(_mm512_mask_blend_pd(odd, cp, sin_t)), neg_cos));
+  const __m512d sin_theta = _mm512_castsi512_pd(_mm512_xor_si512(
+      _mm512_castpd_si512(_mm512_mask_blend_pd(odd, sin_t, cp)), neg_sin));
+  *z_even = _mm512_mul_pd(r, cos_theta);
+  *z_odd = _mm512_mul_pd(r, sin_theta);
+}
+
+// The 16 draws 2·j0 .. 2·j0+15 in index order.
+inline void GaussianDraws16(const NoiseKey512& nk, uint64_t j0, __m512d* lo,
+                            __m512d* hi) {
+  __m512d z_even, z_odd;
+  GaussianPairs8(nk, j0, &z_even, &z_odd);
+  *lo = _mm512_permutex2var_pd(z_even, _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0),
+                               z_odd);
+  *hi = _mm512_permutex2var_pd(
+      z_even, _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), z_odd);
+}
+
+void GaussianAccumulateAvx512(uint64_t key, uint64_t stream, uint64_t first,
+                              double* dst, size_t n, double scale) {
+  if (n == 0) return;
+  const NoiseKey512 nk = MakeNoiseKey512(key, stream);
+  const __m512d sv = _mm512_set1_pd(scale);
+  const uint64_t end = first + n;
+  uint64_t i = first;
+  double* out = dst;
+  alignas(64) double buf[16];
+  __m512d lo, hi;
+  if ((i & 1) != 0) {  // odd start: the sin half of pair i/2
+    GaussianDraws16(nk, i >> 1, &lo, &hi);
+    _mm512_store_pd(buf, lo);
+    *out = std::fma(scale, buf[1], *out);
+    ++out;
+    ++i;
+  }
+  for (; end - i >= 16; i += 16, out += 16) {
+    GaussianDraws16(nk, i >> 1, &lo, &hi);
+    _mm512_storeu_pd(out, _mm512_fmadd_pd(sv, lo, _mm512_loadu_pd(out)));
+    _mm512_storeu_pd(out + 8,
+                     _mm512_fmadd_pd(sv, hi, _mm512_loadu_pd(out + 8)));
+  }
+  if (i < end) {
+    GaussianDraws16(nk, i >> 1, &lo, &hi);
+    _mm512_store_pd(buf, lo);
+    _mm512_store_pd(buf + 8, hi);
+    for (size_t t = 0; t < end - i; ++t) out[t] = std::fma(scale, buf[t], out[t]);
+  }
+}
+
 const KernelTable kAvx512Table = {
     Level::kAvx512,
     "avx512",
@@ -310,6 +486,7 @@ const KernelTable kAvx512Table = {
     &SgnsAccumulateAvx512,
     &GemmTileAvx512,
     &GemmNTTileAvx512,
+    &GaussianAccumulateAvx512,
 };
 
 }  // namespace

@@ -14,12 +14,108 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "linalg/kernels.h"
 #include "linalg/simd/dispatch.h"
+#include "linalg/simd/philox_gaussian.h"
 
 namespace sepriv::simd {
+
+// --- Counter-based Gaussian: the reference (linalg/simd/philox_gaussian.h) --
+
+namespace philox {
+
+Block Philox4x32_10(Block ctr, uint64_t key) {
+  uint32_t k0 = static_cast<uint32_t>(key);
+  uint32_t k1 = static_cast<uint32_t>(key >> 32);
+  for (int round = 0; round < kRounds; ++round) {
+    if (round > 0) {
+      k0 += kW0;
+      k1 += kW1;
+    }
+    const uint64_t p0 = uint64_t{kM0} * ctr.v[0];
+    const uint64_t p1 = uint64_t{kM1} * ctr.v[2];
+    ctr = {{static_cast<uint32_t>(p1 >> 32) ^ ctr.v[1] ^ k0,
+            static_cast<uint32_t>(p1),
+            static_cast<uint32_t>(p0 >> 32) ^ ctr.v[3] ^ k1,
+            static_cast<uint32_t>(p0)}};
+  }
+  return ctr;
+}
+
+void GaussianPairFromBits(const Block& x, double* z_even, double* z_odd) {
+  // u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32: exact conversions, one rounding.
+  const double u1 =
+      std::fma(static_cast<double>(x.v[1]) + 0.5, 0x1p-32,
+               static_cast<double>(x.v[0])) *
+      0x1p-32;
+
+  // ln u1: u1 = 2^e·m, m ∈ [√½, √2). Subtracting √½'s bit pattern moves
+  // the split point to an exponent boundary; the biased exponent stays
+  // positive for every u1 ≥ 2^-65.
+  uint64_t bits = 0;
+  std::memcpy(&bits, &u1, sizeof(bits));
+  const uint64_t d = bits - kSqrtHalfBits;
+  const uint64_t biased = (d + (uint64_t{0x3FF} << 52)) >> 52;  // e + 1023
+  const uint64_t m_bits = (d & ((uint64_t{1} << 52) - 1)) + kSqrtHalfBits;
+  double m = 0.0;
+  std::memcpy(&m, &m_bits, sizeof(m));
+  const double e = static_cast<double>(static_cast<int64_t>(biased) - 1023);
+  const double s = (m - 1.0) / (m + 1.0);
+  const double z = s * s;
+  double q = kLogQ[0];
+  for (int k = 1; k < 10; ++k) q = std::fma(q, z, kLogQ[k]);
+  const double ln_m = std::fma(s, z * q, s + s);
+  const double ln_u1 = std::fma(e, kLn2Hi, std::fma(e, kLn2Lo, ln_m));
+  const double r = std::sqrt(-2.0 * ln_u1);
+
+  // θ = 2π·u2 = (π/2)·(q + t): q = round(4·u2) mod 4, t ∈ [−1/2, 1/2).
+  const uint64_t angle = (uint64_t{x.v[2]} << 20) | (x.v[3] >> 12);
+  const uint64_t rounded = angle + (uint64_t{1} << 49);
+  const uint64_t quadrant = (rounded >> 50) & 3;
+  const int64_t rem = static_cast<int64_t>(rounded & ((uint64_t{1} << 50) - 1)) -
+                      (int64_t{1} << 49);
+  const double t = static_cast<double>(rem) * 0x1p-50;
+  const double w = t * t;
+  double sp = kSin[0];
+  double cp = kCos[0];
+  for (int k = 1; k < 9; ++k) {
+    sp = std::fma(sp, w, kSin[k]);
+    cp = std::fma(cp, w, kCos[k]);
+  }
+  const double sin_t = t * sp;
+  // Quadrant: odd q swaps sin and cos; cos θ is negative for q ∈ {1, 2},
+  // sin θ for q ∈ {2, 3}.
+  double cos_theta = (quadrant & 1) != 0 ? sin_t : cp;
+  double sin_theta = (quadrant & 1) != 0 ? cp : sin_t;
+  if (((quadrant + 1) & 2) != 0) cos_theta = -cos_theta;
+  if ((quadrant & 2) != 0) sin_theta = -sin_theta;
+  *z_even = r * cos_theta;
+  *z_odd = r * sin_theta;
+}
+
+}  // namespace philox
+
 namespace {
+
+void GaussianAccumulateScalar(uint64_t key, uint64_t stream, uint64_t first,
+                              double* dst, size_t n, double scale) {
+  const uint64_t end = first + n;
+  for (uint64_t i = first; i < end;) {
+    const uint64_t pair = i >> 1;
+    const philox::Block x = philox::Philox4x32_10(
+        {{static_cast<uint32_t>(pair), static_cast<uint32_t>(pair >> 32),
+          static_cast<uint32_t>(stream), static_cast<uint32_t>(stream >> 32)}},
+        key);
+    double z[2];
+    philox::GaussianPairFromBits(x, &z[0], &z[1]);
+    for (uint64_t odd = i & 1; odd < 2 && i < end; ++odd, ++i) {
+      dst[i - first] = std::fma(scale, z[odd], dst[i - first]);
+    }
+  }
+}
 
 double DotScalar(const double* a, const double* b, size_t n) {
   double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
@@ -228,6 +324,7 @@ const KernelTable kScalarTable = {
     &SgnsAccumulateScalar,
     &GemmTileScalar,
     &GemmNTTileScalar,
+    &GaussianAccumulateScalar,
 };
 
 }  // namespace

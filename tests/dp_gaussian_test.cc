@@ -32,21 +32,6 @@ TEST(GaussianMechanismTest, NoiseMomentsMatch) {
   EXPECT_NEAR(sumsq / n, 9.0, 0.2);
 }
 
-TEST(GaussianMechanismTest, RowSelectivePerturbation) {
-  Matrix m(5, 4);
-  Rng rng(3);
-  const std::vector<uint32_t> rows = {1, 3};
-  // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
-  AddGaussianNoiseToRows(m, rows, 1.0, rng);
-  // Untouched rows remain exactly zero — the Ñ(·) property of Eq. (9).
-  for (uint32_t r : {0u, 2u, 4u}) {
-    EXPECT_EQ(m.RowNorm(r), 0.0);
-  }
-  for (uint32_t r : rows) {
-    EXPECT_GT(m.RowNorm(r), 0.0);
-  }
-}
-
 TEST(GaussianMechanismTest, AllRowsPerturbed) {
   Matrix m(6, 3);
   Rng rng(4);
@@ -77,14 +62,6 @@ TEST(GaussianMechanismDeathTest, NegativeStddevAborts) {
   Rng rng(1);
   // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
   EXPECT_DEATH(AddGaussianNoise(v, -1.0, rng), "non-negative");
-}
-
-TEST(GaussianMechanismDeathTest, RowOutOfRangeAborts) {
-  Matrix m(2, 2);
-  Rng rng(1);
-  const std::vector<uint32_t> rows = {5};
-  // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
-  EXPECT_DEATH(AddGaussianNoiseToRows(m, rows, 1.0, rng), "out of range");
 }
 
 // Non-positive sensitivity or σ silently zeroes the noise while the

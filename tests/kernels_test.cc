@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "graph/generators.h"
 #include "linalg/matrix.h"
 #include "linalg/simd/cpu_features.h"
+#include "linalg/simd/philox_gaussian.h"
 #include "nn/gcn.h"
 #include "util/digest.h"
 #include "util/rng.h"
@@ -309,6 +313,218 @@ TEST(KernelsTest, GaussianMomentsSane) {
   }
   EXPECT_NEAR(sum / static_cast<double>(n), 1.0, 0.05);
   EXPECT_NEAR(sumsq / static_cast<double>(n), 4.0, 0.1);
+}
+
+// --- Counter-based Gaussian (kernels::GaussianAccumulate) ------------------
+
+uint64_t Bits(double x) {
+  uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+// Random123's published Philox4x32-10 known answers.
+TEST(PhiloxTest, KnownAnswers) {
+  struct Case {
+    simd::philox::Block ctr;
+    uint64_t key;
+    simd::philox::Block want;
+  };
+  using simd::philox::Block;
+  const Case cases[] = {
+      {{{0, 0, 0, 0}}, 0, {{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}}},
+      {{{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff}},
+       0xffffffffffffffffull,
+       {{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}}},
+      {{{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344}},
+       0x299f31d0a4093822ull,  // key words (0xa4093822, 0x299f31d0)
+       {{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}}},
+  };
+  for (const Case& c : cases) {
+    const Block got = simd::philox::Philox4x32_10(c.ctr, c.key);
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(got.v[w], c.want.v[w]) << "word " << w;
+    }
+  }
+}
+
+// The kernel is the documented function: draw i of (key, stream) comes from
+// Philox block (i/2, stream), cos half for even i and sin half for odd i.
+TEST(GaussianAccumulateTest, ScalarLevelFollowsTheDefinition) {
+  LevelGuard guard;
+  simd::SetLevel(simd::Level::kScalar);
+  const uint64_t key = 0x0123456789abcdefull;
+  const uint64_t stream = 0x100000002ull;
+  const uint64_t first = (uint64_t{1} << 33) + 3;
+  std::vector<double> dst(9, 0.0);
+  kernels::GaussianAccumulate(key, stream, first, dst.data(), dst.size(), 1.0);
+  for (size_t t = 0; t < dst.size(); ++t) {
+    const uint64_t i = first + t;
+    const uint64_t j = i / 2;
+    const simd::philox::Block x = simd::philox::Philox4x32_10(
+        {{static_cast<uint32_t>(j), static_cast<uint32_t>(j >> 32),
+          static_cast<uint32_t>(stream), static_cast<uint32_t>(stream >> 32)}},
+        key);
+    double z_even = 0.0, z_odd = 0.0;
+    simd::philox::GaussianPairFromBits(x, &z_even, &z_odd);
+    EXPECT_EQ(Bits(dst[t]), Bits(i % 2 == 0 ? z_even : z_odd)) << "t=" << t;
+  }
+}
+
+TEST(GaussianAccumulateTest, BitIdenticalAcrossLevels) {
+  LevelGuard guard;
+  const auto levels = SupportedLevels();
+  Rng rng(41);
+  // An odd offset into the buffer keeps dst off every vector alignment.
+  std::vector<double> init(1 + 67);
+  for (double& x : init) x = rng.Uniform(-3.0, 3.0);
+  for (uint64_t first : {uint64_t{0}, uint64_t{1}, uint64_t{6}, uint64_t{13},
+                         (uint64_t{1} << 32) - 1, (uint64_t{1} << 40) + 2}) {
+    for (size_t n = 0; n <= 67; ++n) {
+      simd::SetLevel(simd::Level::kScalar);
+      std::vector<double> want = init;
+      kernels::GaussianAccumulate(7, 1, first, want.data() + 1, n, -0.75);
+      for (simd::Level level : levels) {
+        simd::SetLevel(level);
+        std::vector<double> got = init;
+        kernels::GaussianAccumulate(7, 1, first, got.data() + 1, n, -0.75);
+        for (size_t t = 0; t < got.size(); ++t) {
+          ASSERT_EQ(Bits(got[t]), Bits(want[t]))
+              << simd::LevelName(level) << " first=" << first << " n=" << n
+              << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+// Counter-based: a fill split at any point, in either order, is one fill.
+TEST(GaussianAccumulateTest, SplitAtEveryPointEqualsOneFill) {
+  LevelGuard guard;
+  const size_t n = 53;
+  for (simd::Level level : SupportedLevels()) {
+    simd::SetLevel(level);
+    std::vector<double> whole(n, 0.5);
+    kernels::GaussianAccumulate(99, 0, 5, whole.data(), n, 2.0);
+    for (size_t cut = 0; cut <= n; ++cut) {
+      std::vector<double> split(n, 0.5);
+      kernels::GaussianAccumulate(99, 0, 5 + cut, split.data() + cut, n - cut,
+                                  2.0);
+      kernels::GaussianAccumulate(99, 0, 5, split.data(), cut, 2.0);
+      for (size_t t = 0; t < n; ++t) {
+        ASSERT_EQ(Bits(split[t]), Bits(whole[t]))
+            << simd::LevelName(level) << " cut=" << cut << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(GaussianAccumulateTest, KeyAndStreamSelectIndependentSequences) {
+  std::vector<double> a(64, 0.0), b(64, 0.0), c(64, 0.0);
+  kernels::GaussianAccumulate(1, 0, 0, a.data(), a.size(), 1.0);
+  kernels::GaussianAccumulate(1, 1, 0, b.data(), b.size(), 1.0);
+  kernels::GaussianAccumulate(2, 0, 0, c.data(), c.size(), 1.0);
+  size_t same_ab = 0, same_ac = 0;
+  for (size_t t = 0; t < a.size(); ++t) {
+    same_ab += a[t] == b[t];
+    same_ac += a[t] == c[t];
+  }
+  EXPECT_EQ(same_ab, 0u);
+  EXPECT_EQ(same_ac, 0u);
+}
+
+// Accuracy of the reference against long-double libm at the same (u1, u2):
+// u1 in every binade from 2^-65 up to 1, u2 on a dense grid plus the
+// quadrant and rounding boundaries of the angle reduction.
+constexpr double kMaxUlp = 4.0;  // the bound stated in linalg/kernels.h
+
+struct PairError {
+  double max_ulp = 0.0;
+  double max_abs_z = 0.0;
+};
+
+void CheckPair(uint32_t hi, uint32_t lo, uint64_t angle, PairError* err) {
+  const simd::philox::Block x = {{hi, lo, static_cast<uint32_t>(angle >> 20),
+                            static_cast<uint32_t>(angle << 12)}};
+  double z[2];
+  simd::philox::GaussianPairFromBits(x, &z[0], &z[1]);
+
+  // The definition: u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32, θ = 2π·K·2^-52.
+  const double u1 =
+      std::fma(static_cast<double>(lo) + 0.5, 0x1p-32, static_cast<double>(hi)) *
+      0x1p-32;
+  const long double r = std::sqrt(-2.0L * std::log(static_cast<long double>(u1)));
+  // 4·u2 = quadrant + t exactly; both references are long double.
+  const uint64_t rounded = angle + (uint64_t{1} << 49);
+  const uint64_t quadrant = (rounded >> 50) & 3;
+  const long double t =
+      static_cast<long double>(static_cast<int64_t>(rounded & ((uint64_t{1} << 50) - 1)) -
+                               (int64_t{1} << 49)) *
+      0x1p-50L;
+  const long double phi = 1.57079632679489661923132169163975144L * t;
+  const long double c = std::cos(phi), s = std::sin(phi);
+  const long double cos_theta[4] = {c, -s, -c, s};
+  const long double sin_theta[4] = {s, c, -s, -c};
+  const long double want[2] = {r * cos_theta[quadrant], r * sin_theta[quadrant]};
+  for (int h = 0; h < 2; ++h) {
+    err->max_abs_z = std::max(err->max_abs_z, std::fabs(z[h]));
+    if (want[h] == 0.0L) {
+      EXPECT_EQ(z[h], 0.0) << "hi=" << hi << " lo=" << lo << " K=" << angle;
+      continue;
+    }
+    int exp = 0;
+    std::frexp(want[h], &exp);  // |want| ∈ [2^(exp-1), 2^exp)
+    const long double ulp = std::ldexp(1.0L, exp - 53);
+    const double e = static_cast<double>(std::fabs(z[h] - want[h]) / ulp);
+    if (e > err->max_ulp) err->max_ulp = e;
+    EXPECT_LE(e, kMaxUlp) << "hi=" << hi << " lo=" << lo << " K=" << angle
+                          << " half=" << h;
+  }
+}
+
+TEST(GaussianAccumulateTest, WithinStatedUlpOfLongDoubleLibm) {
+  Rng rng(43);
+  PairError err;
+  const uint64_t k52 = uint64_t{1} << 52;
+  const auto random_angle = [&] { return rng.Next() >> 12; };
+  // Every binade [2^b, 2^(b+1)) of u1, b = -65 .. -1, then u1 = 1 itself.
+  for (int b = -65; b <= -1; ++b) {
+    for (int sample = 0; sample < 256; ++sample) {
+      uint32_t hi = 0, lo = 0;
+      if (b >= -32) {  // hi ∈ [2^(b+32), 2^(b+33))
+        const uint64_t base = uint64_t{1} << (b + 32);
+        hi = static_cast<uint32_t>(base + rng.UniformInt(base));
+        lo = static_cast<uint32_t>(rng.Next());
+      } else if (b >= -64) {  // hi = 0, lo + 1/2 ∈ [2^(b+64), 2^(b+65))
+        const uint64_t base = uint64_t{1} << (b + 64);
+        lo = static_cast<uint32_t>(base + rng.UniformInt(base));
+      }  // b = -65: hi = lo = 0, u1 = 2^-65
+      if (sample == 1 && b >= -32) lo = 0;  // binade endpoints
+      if (sample == 2 && b >= -32) lo = 0xffffffff;
+      for (int a = 0; a < 16; ++a) CheckPair(hi, lo, random_angle(), &err);
+    }
+  }
+  CheckPair(0xffffffff, 0xffffffff, random_angle(), &err);  // u1 rounds to 1
+  // Dense angle grid, plus both sides of every quadrant boundary and of the
+  // rounding point between quadrants.
+  for (uint64_t k = 0; k < (uint64_t{1} << 16); ++k) {
+    const uint32_t hi = static_cast<uint32_t>(rng.Next());
+    const uint32_t lo = static_cast<uint32_t>(rng.Next());
+    CheckPair(hi, lo, (k << 36) | (rng.Next() >> 28), &err);
+  }
+  for (uint64_t q = 0; q < 4; ++q) {
+    for (uint64_t edge : {q << 50, (q << 50) + (uint64_t{1} << 49)}) {
+      for (int64_t delta = -3; delta <= 3; ++delta) {
+        const uint64_t angle = (edge + k52 + static_cast<uint64_t>(delta)) % k52;
+        CheckPair(0x80000000u, 12345, angle, &err);
+      }
+    }
+  }
+  EXPECT_LE(err.max_ulp, kMaxUlp);
+  // sepriv-privflow: allow(leak): accuracy summary of the noise kernel over synthetic Philox words; no graph data reaches it
+  std::printf("max error %.3f ulp, max |Z| %.6f\n", err.max_ulp, err.max_abs_z);
+  // The Box–Muller ceiling: u1 ≥ 2^-65 bounds |Z| by sqrt(130 ln 2).
+  EXPECT_LE(err.max_abs_z, 9.4925830769497557);
 }
 
 TEST(KernelsTest, GemmMatchesNaiveAcrossShapes) {
