@@ -37,6 +37,7 @@
 #include "eval/strucequ.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
+#include "linalg/simd/cpu_features.h"
 #include "proximity/proximity.h"
 #include "runner/experiment_runner.h"
 #include "util/digest.h"
@@ -86,6 +87,8 @@ int main(int argc, char** argv) {
   json.AddMeta("dim", std::to_string(dim));
   json.AddMeta("sampled_pairs", std::to_string(sampled_pairs));
   json.AddMeta("grid_cells", std::to_string(grid_cells));
+  json.AddMeta("cpu_features", simd::CpuFeatureString());
+  json.AddMeta("simd_active", simd::LevelName(simd::ActiveLevel()));
 
   bool all_digests_match = true;
 

@@ -8,10 +8,13 @@
 // shared with the kernel property tests.
 //
 // The SIMD dispatch sweep re-times the hot kernels (dot, axpy, fused SGNS
-// update, serial GEMM) once per available dispatch level — scalar, avx2,
-// avx512 — emitting records like "dot/avx2" and "gemm/avx512" plus a
-// "simd/digests_identical" witness that every level produced bit-identical
-// results (the accumulation-order contract of linalg/simd/).
+// update, serial GEMM, counter-based Gaussian noise) once per available
+// dispatch level — scalar, avx2, avx512 — emitting records like "dot/avx2",
+// "gemm/avx512" and "noise/avx512" plus a "simd/digests_identical" witness
+// that every level produced bit-identical results (the accumulation-order
+// contract of linalg/simd/). That record also carries the noise output
+// digest, which CI compares between a SEPRIV_SIMD=scalar process and a
+// native one.
 //
 // Environment knobs:
 //   SEPRIV_BENCH_N        vector length for the level-1 kernels (default 65536)
@@ -26,6 +29,7 @@
 //                         BENCH_kernels.json at the repo root is the committed
 //                         baseline future PRs diff against.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -305,8 +309,14 @@ int main(int argc, char** argv) {
     ga.FillUniform(grng, -1.0, 1.0);
     gb.FillUniform(grng, -1.0, 1.0);
 
+    // Counter-based Gaussian noise: n draws per call into one buffer; the
+    // digest covers a fill that starts at an odd index, so the head, body
+    // and tail paths of every level contribute.
+    std::vector<double> noise(n, 0.0);
+
     double scalar_dot = 0.0, scalar_sgns = 0.0, scalar_gemm = 0.0;
-    uint64_t want_gemm_digest = 0, want_dot_bits = 0;
+    double scalar_noise = 0.0;
+    uint64_t want_gemm_digest = 0, want_dot_bits = 0, want_noise_digest = 0;
     bool identical = true;
     for (simd::Level level : levels) {
       simd::SetLevel(level);
@@ -323,20 +333,35 @@ int main(int argc, char** argv) {
           TimePerCall([&] { Sink(MatMul(ga, gb)(0, 0)); }, min_s);
       const double gemm_rate = flops / t_gemm / 1e9;
 
+      const double t_noise = TimePerCall(
+          [&] {
+            kernels::GaussianAccumulate(0x5eed, 1, 0, noise.data(), n, 1.0);
+            Sink(noise[0]);
+          },
+          min_s);
+      const double noise_rate = static_cast<double>(n) / t_noise / 1e6;
+
       const uint64_t gemm_digest = MatrixDigest(MatMul(ga, gb));
       uint64_t dot_bits = 0;
       const double dot_val = kernels::Dot(a.data(), b.data(), n);
       std::memcpy(&dot_bits, &dot_val, sizeof(dot_bits));
+      std::fill(noise.begin(), noise.end(), 0.0);
+      kernels::GaussianAccumulate(0x5eed, 1, 7, noise.data(), n, 1.0);
+      const uint64_t noise_digest =
+          FnvDigest(noise.data(), noise.size() * sizeof(double));
       if (level == levels.front()) {
         want_gemm_digest = gemm_digest;
         want_dot_bits = dot_bits;
+        want_noise_digest = noise_digest;
       }
       identical = identical && gemm_digest == want_gemm_digest &&
-                  dot_bits == want_dot_bits;
+                  dot_bits == want_dot_bits &&
+                  noise_digest == want_noise_digest;
       if (level == simd::Level::kScalar) {
         scalar_dot = dot_rate;
         scalar_sgns = sgns_rate;
         scalar_gemm = gemm_rate;
+        scalar_noise = noise_rate;
       }
       const double vs = scalar_gemm > 0 ? gemm_rate / scalar_gemm : 0.0;
       std::printf("%-18s %12.2f %12.2f %12.2f %8.2fx\n", lname, dot_rate,
@@ -356,6 +381,17 @@ int main(int argc, char** argv) {
                      {{"size", static_cast<double>(gemm)},
                       {"gflops", gemm_rate},
                       {"speedup_vs_scalar", vs}});
+      std::printf("%-18s %12.2f Mdraws/s %30" PRIx64 "\n",
+                  (std::string("noise/") + lname).c_str(), noise_rate,
+                  noise_digest);
+      json.AddRecord(
+          std::string("noise/") + lname,
+          {{"n", static_cast<double>(n)},
+           {"mdraws_per_s", noise_rate},
+           {"speedup_vs_scalar",
+            scalar_noise > 0 ? noise_rate / scalar_noise : 0.0},
+           {"digest_hi", static_cast<double>(noise_digest >> 32)},
+           {"digest_lo", static_cast<double>(noise_digest & 0xffffffffULL)}});
     }
     kernels::SetLinalgThreads(0);
     if (pinned) {
@@ -365,8 +401,12 @@ int main(int argc, char** argv) {
     }
     std::printf("# simd outputs %s across dispatch levels\n",
                 identical ? "bit-identical" : "DIVERGED (BUG)");
-    json.AddRecord("simd/digests_identical",
-                   {{"value", identical ? 1.0 : 0.0}});
+    json.AddRecord(
+        "simd/digests_identical",
+        {{"value", identical ? 1.0 : 0.0},
+         {"noise_digest_hi", static_cast<double>(want_noise_digest >> 32)},
+         {"noise_digest_lo",
+          static_cast<double>(want_noise_digest & 0xffffffffULL)}});
   }
 
   if (const char* path = bj::JsonPathFromArgs(argc, argv)) {

@@ -41,10 +41,12 @@
 #include "embedding/quantized_rows.h"
 #include "graph/generators.h"
 #include "linalg/matrix.h"
+#include "linalg/simd/cpu_features.h"
 #include "util/digest.h"
 #include "util/env.h"
 #include "util/mem.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -75,6 +77,10 @@ int main(int argc, char** argv) {
   json.AddMeta("dim", std::to_string(dim));
   json.AddMeta("nodes", std::to_string(nodes));
   json.AddMeta("epochs", std::to_string(epochs));
+  json.AddMeta("hardware_threads",
+               std::to_string(ThreadPool::ResolveThreads(0)));
+  json.AddMeta("cpu_features", simd::CpuFeatureString());
+  json.AddMeta("simd_active", simd::LevelName(simd::ActiveLevel()));
 
   // ---------------------------------------------------------- RSS witness
   // Build the three representations in sequence, all kept alive, and charge

@@ -251,19 +251,19 @@ void BatchGradientEngine::PerturbNaiveIntoModel(SkipGramModel& model,
   if (stddev == 0.0) return;
   model.w_in.MarkDpSanitized();
   model.w_out.MarkDpSanitized();
-  const size_t n = opts_.num_nodes;
   const size_t dim = opts_.dim;
+  const size_t size = opts_.num_nodes * dim;
   const double scale = -learning_rate * stddev;
   // Element node·dim + column of each matrix receives Z(key, stream, same).
-  pool_.ParallelFor(NumBlocks(n), 1, [&](size_t begin, size_t end) {
+  pool_.ParallelFor(NumBlocks(opts_.num_nodes), 1,
+                    [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       const size_t lo = b * kNoiseBlockRows * dim;
-      const size_t len = (std::min(n, (b + 1) * kNoiseBlockRows) -
-                          b * kNoiseBlockRows) * dim;
+      const size_t hi = std::min(size, lo + kNoiseBlockRows * dim);
       kernels::GaussianAccumulate(key, kStreamIn, lo, model.w_in.data() + lo,
-                                  len, scale);
+                                  hi - lo, scale);
       kernels::GaussianAccumulate(key, kStreamOut, lo, model.w_out.data() + lo,
-                                  len, scale);
+                                  hi - lo, scale);
     }
   });
 }

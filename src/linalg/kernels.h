@@ -114,11 +114,13 @@ inline double SgnsAccumulate(const double* vi, const double* vn, size_t dim,
 // any split of a range over calls, threads or blocks yields the same
 // values, and every dispatch level yields the same bits.
 //
-// Precision, measured by tests/kernels_test.cc against long-double libm
-// over every binade of u1 down to 2^-65 and a dense grid of u2: every draw
-// is within 4 ulp of r·cos θ / r·sin θ evaluated at the same (u1, u2).
-// |Z| ≤ sqrt(-2 ln 2^-65) ≈ 9.4926, so the draws miss the Gaussian tail
-// mass beyond it, P(|N(0,1)| > 9.4926) ≈ 2.3e-21 per coordinate.
+// Precision: tests/kernels_test.cc compares ~6.6·10^5 draws against
+// long-double libm at the same (u1, u2), over every binade of u1 down to
+// 2^-65 and a dense grid of u2. The largest error is 3.4 ulp of
+// r·cos θ / r·sin θ, and the test fails above 4 ulp. u1 ≥ 2^-65 caps
+// |Z| at sqrt(-2 ln 2^-65) ≈ 9.4926: the exact Box–Muller radius exceeds
+// it with probability 2^-65 per pair, the tail mass the draws miss (README
+// "Performance" turns it into a δ term).
 // ---------------------------------------------------------------------------
 
 /// dst[t] += scale · Z(key, stream, first + t) for t < n, as one fma per

@@ -410,8 +410,8 @@ inline void GaussianPairs4(const NoiseKey256& nk, uint64_t j0, __m256d* z_even,
   const __m256d neg_cos = _mm256_castsi256_pd(_mm256_slli_epi64(
       _mm256_and_si256(_mm256_add_epi64(quadrant, _mm256_set1_epi64x(1)), two),
       62));
-  const __m256d neg_sin =
-      _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(quadrant, two), 62));
+  const __m256d neg_sin = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_and_si256(quadrant, two), 62));
   const __m256d cos_theta =
       _mm256_xor_pd(_mm256_blendv_pd(cp, sin_t, odd), neg_cos);
   const __m256d sin_theta =
@@ -458,7 +458,9 @@ void GaussianAccumulateAvx2(uint64_t key, uint64_t stream, uint64_t first,
     GaussianDraws8(nk, i >> 1, &lo, &hi);
     _mm256_store_pd(buf, lo);
     _mm256_store_pd(buf + 4, hi);
-    for (size_t t = 0; t < end - i; ++t) out[t] = std::fma(scale, buf[t], out[t]);
+    for (size_t t = 0; t < end - i; ++t) {
+      out[t] = std::fma(scale, buf[t], out[t]);
+    }
   }
 }
 

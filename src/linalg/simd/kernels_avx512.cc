@@ -343,8 +343,9 @@ inline __m512d ExactToDouble(__m512i v) {
 inline void GaussianPairs8(const NoiseKey512& nk, uint64_t j0, __m512d* z_even,
                            __m512d* z_odd) {
   const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i j = _mm512_add_epi64(_mm512_set1_epi64(static_cast<int64_t>(j0)),
-                                     _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+  const __m512i j =
+      _mm512_add_epi64(_mm512_set1_epi64(static_cast<int64_t>(j0)),
+                       _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
   __m512i c0 = j;
   __m512i c1 = _mm512_srli_epi64(j, 32);
   __m512i c2 = nk.s_lo;
@@ -423,7 +424,8 @@ inline void GaussianPairs8(const NoiseKey512& nk, uint64_t j0, __m512d* z_even,
   const __m512i neg_cos = _mm512_slli_epi64(
       _mm512_and_si512(_mm512_add_epi64(quadrant, _mm512_set1_epi64(1)), two),
       62);
-  const __m512i neg_sin = _mm512_slli_epi64(_mm512_and_si512(quadrant, two), 62);
+  const __m512i neg_sin =
+      _mm512_slli_epi64(_mm512_and_si512(quadrant, two), 62);
   const __m512d cos_theta = _mm512_castsi512_pd(_mm512_xor_si512(
       _mm512_castpd_si512(_mm512_mask_blend_pd(odd, cp, sin_t)), neg_cos));
   const __m512d sin_theta = _mm512_castsi512_pd(_mm512_xor_si512(
@@ -437,8 +439,8 @@ inline void GaussianDraws16(const NoiseKey512& nk, uint64_t j0, __m512d* lo,
                             __m512d* hi) {
   __m512d z_even, z_odd;
   GaussianPairs8(nk, j0, &z_even, &z_odd);
-  *lo = _mm512_permutex2var_pd(z_even, _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0),
-                               z_odd);
+  *lo = _mm512_permutex2var_pd(
+      z_even, _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0), z_odd);
   *hi = _mm512_permutex2var_pd(
       z_even, _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), z_odd);
 }
@@ -470,7 +472,9 @@ void GaussianAccumulateAvx512(uint64_t key, uint64_t stream, uint64_t first,
     GaussianDraws16(nk, i >> 1, &lo, &hi);
     _mm512_store_pd(buf, lo);
     _mm512_store_pd(buf + 8, hi);
-    for (size_t t = 0; t < end - i; ++t) out[t] = std::fma(scale, buf[t], out[t]);
+    for (size_t t = 0; t < end - i; ++t) {
+      out[t] = std::fma(scale, buf[t], out[t]);
+    }
   }
 }
 

@@ -75,8 +75,9 @@ void GaussianPairFromBits(const Block& x, double* z_even, double* z_odd) {
   const uint64_t angle = (uint64_t{x.v[2]} << 20) | (x.v[3] >> 12);
   const uint64_t rounded = angle + (uint64_t{1} << 49);
   const uint64_t quadrant = (rounded >> 50) & 3;
-  const int64_t rem = static_cast<int64_t>(rounded & ((uint64_t{1} << 50) - 1)) -
-                      (int64_t{1} << 49);
+  const int64_t rem =
+      static_cast<int64_t>(rounded & ((uint64_t{1} << 50) - 1)) -
+      (int64_t{1} << 49);
   const double t = static_cast<double>(rem) * 0x1p-50;
   const double w = t * t;
   double sp = kSin[0];

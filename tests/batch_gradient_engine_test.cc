@@ -107,8 +107,9 @@ TEST(BatchGradientEngineTest, MatchesSerialReferenceBitwise) {
           engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
       EXPECT_EQ(loss, ref_loss) << threads << " threads, clip=" << clip;
       const size_t n = f.graph.num_nodes();
-      EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_in(), n), DenseCopy(ref_in, n)),
-                0.0);
+      EXPECT_EQ(
+          MaxAbsDiff(DenseCopy(engine.grad_in(), n), DenseCopy(ref_in, n)),
+          0.0);
       EXPECT_EQ(
           MaxAbsDiff(DenseCopy(engine.grad_out(), n), DenseCopy(ref_out, n)),
           0.0);
@@ -237,9 +238,9 @@ TEST(BatchGradientEngineTest, MemoryIsBoundedByTouchedRows) {
   engine.PerturbNonZero(1.0, noise_rng);
   SkipGramModel model = f.model;
   engine.ApplyUpdate(model, 0.1);
-  const double growth_mb =
-      (static_cast<double>(CurrentRssBytes()) - static_cast<double>(rss_before)) /
-      (1024.0 * 1024.0);
+  const double growth_mb = (static_cast<double>(CurrentRssBytes()) -
+                            static_cast<double>(rss_before)) /
+                           (1024.0 * 1024.0);
   EXPECT_LT(growth_mb, 32.0);
 }
 

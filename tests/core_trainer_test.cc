@@ -303,7 +303,7 @@ void ExpectThreadCountInvariant(PerturbationStrategy strategy) {
   SePrivGEmb t1(g, ProximityKind::kDeepWalk, cfg);
   const TrainResult base = t1.Train();
 
-  for (size_t threads : {2UL, 4UL}) {
+  for (size_t threads : {2UL, 4UL, 8UL}) {
     cfg.num_threads = threads;
     SePrivGEmb tn(g, ProximityKind::kDeepWalk, cfg);
     const TrainResult r = tn.Train();

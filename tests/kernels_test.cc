@@ -445,27 +445,29 @@ struct PairError {
 
 void CheckPair(uint32_t hi, uint32_t lo, uint64_t angle, PairError* err) {
   const simd::philox::Block x = {{hi, lo, static_cast<uint32_t>(angle >> 20),
-                            static_cast<uint32_t>(angle << 12)}};
+                                  static_cast<uint32_t>(angle << 12)}};
   double z[2];
   simd::philox::GaussianPairFromBits(x, &z[0], &z[1]);
 
   // The definition: u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32, θ = 2π·K·2^-52.
-  const double u1 =
-      std::fma(static_cast<double>(lo) + 0.5, 0x1p-32, static_cast<double>(hi)) *
-      0x1p-32;
-  const long double r = std::sqrt(-2.0L * std::log(static_cast<long double>(u1)));
+  const double u1 = std::fma(static_cast<double>(lo) + 0.5, 0x1p-32,
+                             static_cast<double>(hi)) *
+                    0x1p-32;
+  const long double r =
+      std::sqrt(-2.0L * std::log(static_cast<long double>(u1)));
   // 4·u2 = quadrant + t exactly; both references are long double.
   const uint64_t rounded = angle + (uint64_t{1} << 49);
   const uint64_t quadrant = (rounded >> 50) & 3;
-  const long double t =
-      static_cast<long double>(static_cast<int64_t>(rounded & ((uint64_t{1} << 50) - 1)) -
-                               (int64_t{1} << 49)) *
-      0x1p-50L;
+  const int64_t rem =
+      static_cast<int64_t>(rounded & ((uint64_t{1} << 50) - 1)) -
+      (int64_t{1} << 49);
+  const long double t = static_cast<long double>(rem) * 0x1p-50L;
   const long double phi = 1.57079632679489661923132169163975144L * t;
   const long double c = std::cos(phi), s = std::sin(phi);
   const long double cos_theta[4] = {c, -s, -c, s};
   const long double sin_theta[4] = {s, c, -s, -c};
-  const long double want[2] = {r * cos_theta[quadrant], r * sin_theta[quadrant]};
+  const long double want[2] = {r * cos_theta[quadrant],
+                               r * sin_theta[quadrant]};
   for (int h = 0; h < 2; ++h) {
     err->max_abs_z = std::max(err->max_abs_z, std::fabs(z[h]));
     if (want[h] == 0.0L) {
@@ -515,7 +517,8 @@ TEST(GaussianAccumulateTest, WithinStatedUlpOfLongDoubleLibm) {
   for (uint64_t q = 0; q < 4; ++q) {
     for (uint64_t edge : {q << 50, (q << 50) + (uint64_t{1} << 49)}) {
       for (int64_t delta = -3; delta <= 3; ++delta) {
-        const uint64_t angle = (edge + k52 + static_cast<uint64_t>(delta)) % k52;
+        const uint64_t angle =
+            (edge + k52 + static_cast<uint64_t>(delta)) % k52;
         CheckPair(0x80000000u, 12345, angle, &err);
       }
     }

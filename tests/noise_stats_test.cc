@@ -91,7 +91,8 @@ TEST(NoiseStatsTest, HundredMillionDrawsLookStandardNormal) {
   const double kurt = static_cast<double>(mu4 / (var * var));
   // Standard errors of the sample moments of N(0, 1).
   EXPECT_LT(std::fabs(static_cast<double>(mean)), 5.0 / std::sqrt(n));
-  EXPECT_LT(std::fabs(static_cast<double>(var) - 1.0), 5.0 * std::sqrt(2.0 / n));
+  EXPECT_LT(std::fabs(static_cast<double>(var) - 1.0),
+            5.0 * std::sqrt(2.0 / n));
   EXPECT_LT(std::fabs(skew), 5.0 * std::sqrt(6.0 / n));
   EXPECT_LT(std::fabs(kurt - 3.0), 5.0 * std::sqrt(24.0 / n));
 
@@ -111,7 +112,8 @@ TEST(NoiseStatsTest, HundredMillionDrawsLookStandardNormal) {
 
   // Lag-1 (within a stream) and cross-stream correlations.
   const double lag_n = static_cast<double>(m.lag1_n);
-  EXPECT_LT(std::fabs(static_cast<double>(m.lag1) / lag_n), 5.0 / std::sqrt(lag_n));
+  EXPECT_LT(std::fabs(static_cast<double>(m.lag1) / lag_n),
+            5.0 / std::sqrt(lag_n));
   const double cross_n = static_cast<double>(m.cross_n);
   EXPECT_LT(std::fabs(static_cast<double>(m.cross) / cross_n),
             5.0 / std::sqrt(cross_n));
