@@ -83,7 +83,6 @@ class SEPRIV_SENSITIVE_SOURCE SparseRowGrad {
   }
 
   const std::vector<uint32_t>& touched() const { return touched_; }
-  size_t cols() const { return cols_; }
 
   /// Runtime half of the privacy-flow contract (see Matrix::dp_sanitized):
   /// set once the mechanism layer has noised the slab; sticky across

@@ -50,10 +50,10 @@ struct Fixture {
   }
 };
 
-// Dense rows×cols copy of an accumulator: slot s holds row touched()[s],
-// every other row is zero.
-Matrix DenseCopy(const SparseRowGrad& g, size_t rows) {
-  Matrix m(rows, g.cols());
+// Dense |V|×dim copy of an accumulator over the fixture's graph: slot s
+// holds row touched()[s], every other row is zero.
+Matrix DenseCopy(const SparseRowGrad& g, const Fixture& f) {
+  Matrix m(f.graph.num_nodes(), f.model.dim());
   for (size_t s = 0; s < g.touched().size(); ++s) {
     const auto src = g.SlotRow(static_cast<uint32_t>(s));
     std::copy(src.begin(), src.end(), m.Row(g.touched()[s]).begin());
@@ -106,12 +106,11 @@ TEST(BatchGradientEngineTest, MatchesSerialReferenceBitwise) {
       const double loss =
           engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
       EXPECT_EQ(loss, ref_loss) << threads << " threads, clip=" << clip;
-      const size_t n = f.graph.num_nodes();
       EXPECT_EQ(
-          MaxAbsDiff(DenseCopy(engine.grad_in(), n), DenseCopy(ref_in, n)),
+          MaxAbsDiff(DenseCopy(engine.grad_in(), f), DenseCopy(ref_in, f)),
           0.0);
       EXPECT_EQ(
-          MaxAbsDiff(DenseCopy(engine.grad_out(), n), DenseCopy(ref_out, n)),
+          MaxAbsDiff(DenseCopy(engine.grad_out(), f), DenseCopy(ref_out, f)),
           0.0);
       EXPECT_EQ(engine.grad_in().touched(), ref_in.touched());
       EXPECT_EQ(engine.grad_out().touched(), ref_out.touched());
@@ -128,8 +127,8 @@ TEST(BatchGradientEngineTest, NonZeroPerturbationThreadCountInvariant) {
     Rng noise_rng(777);
     // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
     engine.PerturbNonZero(2.5, noise_rng);
-    const Matrix in = DenseCopy(engine.grad_in(), f.graph.num_nodes());
-    const Matrix out = DenseCopy(engine.grad_out(), f.graph.num_nodes());
+    const Matrix in = DenseCopy(engine.grad_in(), f);
+    const Matrix out = DenseCopy(engine.grad_out(), f);
     if (threads == 1) {
       base_in = in;
       base_out = out;
@@ -198,9 +197,8 @@ TEST(BatchGradientEngineTest, ApplyUpdateSubtractsScaledGradientAndClears) {
   const Fixture f;
   BatchGradientEngine engine(f.Options(3, false), f.weights);
   engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
-  const size_t n = f.graph.num_nodes();
-  const Matrix grads_in = DenseCopy(engine.grad_in(), n);
-  const Matrix grads_out = DenseCopy(engine.grad_out(), n);
+  const Matrix grads_in = DenseCopy(engine.grad_in(), f);
+  const Matrix grads_out = DenseCopy(engine.grad_out(), f);
 
   SkipGramModel model = f.model;
   const double lr = 0.25;
@@ -217,8 +215,8 @@ TEST(BatchGradientEngineTest, ApplyUpdateSubtractsScaledGradientAndClears) {
   // Cleared means zeroed: the same batch accumulates to the same gradients
   // again, not to twice them.
   engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
-  EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_in(), n), grads_in), 0.0);
-  EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_out(), n), grads_out), 0.0);
+  EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_in(), f), grads_in), 0.0);
+  EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_out(), f), grads_out), 0.0);
 }
 
 // The accumulators cost O(|V| + touched·r), not O(|V|·r): a 2·10^5-node,

@@ -37,8 +37,8 @@ SePrivGEmbConfig SmallConfig() {
 
 // Dense rows×cols copy of the accumulator: slot s holds row touched()[s],
 // every other row is zero.
-Matrix DenseCopy(const SparseRowGrad& g, size_t rows) {
-  Matrix m(rows, g.cols());
+Matrix DenseCopy(const SparseRowGrad& g, size_t rows, size_t cols) {
+  Matrix m(rows, cols);
   for (size_t s = 0; s < g.touched().size(); ++s) {
     const auto src = g.SlotRow(static_cast<uint32_t>(s));
     std::copy(src.begin(), src.end(), m.Row(g.touched()[s]).begin());
@@ -53,11 +53,11 @@ TEST(SparseRowGradTest, TracksTouchedRows) {
   g.AddToRow(3, row);
   g.AddToRow(1, row);  // repeat should not duplicate
   ASSERT_EQ(g.touched().size(), 2u);
-  EXPECT_EQ(DenseCopy(g, 5)(1, 0), 2.0);
-  EXPECT_EQ(DenseCopy(g, 5)(3, 2), 3.0);
+  EXPECT_EQ(DenseCopy(g, 5, 3)(1, 0), 2.0);
+  EXPECT_EQ(DenseCopy(g, 5, 3)(3, 2), 3.0);
   g.Clear();
   EXPECT_TRUE(g.touched().empty());
-  EXPECT_EQ(DenseCopy(g, 5)(1, 0), 0.0);
+  EXPECT_EQ(DenseCopy(g, 5, 3)(1, 0), 0.0);
 }
 
 TEST(SparseRowGradTest, ClearOnlyAffectsTouched) {
@@ -66,8 +66,8 @@ TEST(SparseRowGradTest, ClearOnlyAffectsTouched) {
   g.AddToRow(0, row);
   g.Clear();
   g.AddToRow(2, row);
-  EXPECT_EQ(DenseCopy(g, 4)(2, 1), 5.0);
-  EXPECT_EQ(DenseCopy(g, 4)(0, 0), 0.0);
+  EXPECT_EQ(DenseCopy(g, 4, 2)(2, 1), 5.0);
+  EXPECT_EQ(DenseCopy(g, 4, 2)(0, 0), 0.0);
 }
 
 TEST(SparseRowGradTest, ClearReusesSlotsFromZeroAndRowsStartAtZero) {
@@ -87,8 +87,8 @@ TEST(SparseRowGradTest, ClearReusesSlotsFromZeroAndRowsStartAtZero) {
     for (double x : g.SlotRow(s)) EXPECT_EQ(x, 0.0) << "slot " << s;
   }
   g.AddToRow(5, row);
-  EXPECT_EQ(DenseCopy(g, 6)(5, 2), 4.0);
-  EXPECT_EQ(DenseCopy(g, 6)(4, 2), 0.0);
+  EXPECT_EQ(DenseCopy(g, 6, 3)(5, 2), 4.0);
+  EXPECT_EQ(DenseCopy(g, 6, 3)(4, 2), 0.0);
 }
 
 TEST(TrainerTest, NonPrivateRunsAllEpochs) {
