@@ -10,8 +10,11 @@
 namespace sepriv {
 namespace {
 
-// Samples per work chunk in the gradient phase. Small enough to balance a
-// B=128 batch over 8 workers, large enough to amortise chunk dispatch.
+// Samples per work chunk in the gather and gradient phases. Small enough to
+// balance a B=128 batch over 8 workers, large enough to amortise chunk
+// dispatch. A gather group no larger than this (a few samples from one
+// sample-store page) is copied inline, where a fan-out would cost more than
+// the copy.
 constexpr size_t kSampleGrain = 8;
 
 // Rows per noise task: a scheduling grain only. Each draw is a pure
@@ -105,6 +108,7 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
   if (context_counts_.size() < m) context_counts_.resize(m);
   if (losses_.size() < m) losses_.resize(m);
   if (centers_.size() < m) centers_.resize(m);
+  if (sample_weights_.size() < m) sample_weights_.resize(m);
 
   // Visit order: identity for a single-shard source; shard-sorted (stable,
   // so within a shard the batch order is kept) when sharded. Only the ORDER
@@ -120,10 +124,10 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
                      });
   }
 
-  // Phase 1: per-sample gradients + clipping into private slots, one shard
-  // group at a time. Safe to fan out because sample i only writes slot i;
-  // the pin is held across the group's ParallelFor and the NEXT group's
-  // shard is prefetched first, so the pool hides its read behind compute.
+  // Phase 1a, gather: copy each sample into its slot i — center, weight,
+  // and the context followed by the negatives in context_nodes_ — one shard
+  // group at a time, pinning the group's shard for the copy. A small group
+  // (the usual out-of-core case: a few samples per page) runs inline.
   const size_t slot = ctx_slot_;
   size_t pos = 0;
   while (pos < m) {
@@ -138,39 +142,47 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
     // shared accumulators are first touched in phase 2 — so the caller can
     // retry the whole batch or surface the error.
     SEPRIV_RETURN_IF_ERROR(source.TryPinShard(shard));
-    if (group_end < m) {
-      source.PrefetchShard(source.ShardOf(batch[order_[group_end]]));
-    }
     pool_.ParallelFor(group_end - pos, kSampleGrain,
                       [&](size_t begin, size_t end) {
       for (size_t g = begin; g < end; ++g) {
         const size_t i = order_[pos + g];
         const SampleView v = source.Get(batch[i]);
-        double w_pos, w_neg;
-        ResolveWeights(v.weight, w_pos, w_neg);
-
-        const size_t contexts = v.negatives.size() + 1;
-        std::span<double> center(center_grads_.data() + i * dim, dim);
-        std::span<NodeId> nodes(context_nodes_.data() + i * slot, contexts);
-        std::span<double> rows(context_grads_.data() + i * slot * dim,
-                               contexts * dim);
-        losses_[i] = ComputeSgnsGradientInto(model, v.center, v.context,
-                                             v.negatives, w_pos, w_neg,
-                                             center, nodes, rows);
-        context_counts_[i] = static_cast<uint32_t>(contexts);
+        NodeId* nodes = context_nodes_.data() + i * slot;
+        nodes[0] = v.context;
+        std::copy(v.negatives.begin(), v.negatives.end(), nodes + 1);
+        context_counts_[i] = static_cast<uint32_t>(v.negatives.size() + 1);
         centers_[i] = v.center;
-
-        if (opts_.clip_per_sample) {
-          // Per-sample clipping, separately per parameter matrix: e∇_{v_i}
-          // (center, Win) and the joint e∇_{v_j} block (contexts, Wout).
-          // sepriv-privflow: allow(unaccounted-sanitizer): charged by the epoch driver — RunEpochs owns the RdpAccountant; the engine is mechanism plumbing below the accounting layer
-          ClipL2InPlace(center, opts_.clip_threshold);
-          ClipL2InPlace(rows, opts_.clip_threshold);
-        }
+        sample_weights_[i] = v.weight;
       }
     });
     pos = group_end;
   }
+
+  // Phase 1b, compute: per-sample gradients + clipping over the whole batch
+  // in one fan-out. Safe because sample i only reads and writes slot i.
+  pool_.ParallelFor(m, kSampleGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      double w_pos, w_neg;
+      ResolveWeights(sample_weights_[i], w_pos, w_neg);
+      const size_t contexts = context_counts_[i];
+      std::span<double> center(center_grads_.data() + i * dim, dim);
+      std::span<NodeId> nodes(context_nodes_.data() + i * slot, contexts);
+      std::span<double> rows(context_grads_.data() + i * slot * dim,
+                             contexts * dim);
+      // `nodes` is the kernel's input (context, then negatives) and its
+      // output: it writes each context back to the entry it read it from.
+      losses_[i] = ComputeSgnsGradientInto(model, centers_[i], nodes[0],
+                                           nodes.subspan(1), w_pos, w_neg,
+                                           center, nodes, rows);
+      if (opts_.clip_per_sample) {
+        // Per-sample clipping, separately per parameter matrix: e∇_{v_i}
+        // (center, Win) and the joint e∇_{v_j} block (contexts, Wout).
+        // sepriv-privflow: allow(unaccounted-sanitizer): charged by the epoch driver — RunEpochs owns the RdpAccountant; the engine is mechanism plumbing below the accounting layer
+        ClipL2InPlace(center, opts_.clip_threshold);
+        ClipL2InPlace(rows, opts_.clip_threshold);
+      }
+    }
+  });
 
   // Phase 2 (serial, cheap): loss in sample order and slab slots in
   // first-touch sample order — both independent of worker scheduling.

@@ -5,9 +5,11 @@
 // engine fans the batch out over a persistent ThreadPool while keeping the
 // result BIT-IDENTICAL for every thread count:
 //
-//   1. gradient phase — workers compute ComputeSgnsGradient + per-sample
-//      clipping into preallocated per-sample scratch slots (no allocation on
-//      the hot path); which worker computes a sample never affects its slot;
+//   1. gather, then gradient — the batch's samples are first copied into
+//      preallocated per-sample slots, one source shard at a time; then one
+//      fan-out over the whole batch computes ComputeSgnsGradient + per-sample
+//      clipping in those slots (no allocation on the hot path); which worker
+//      handles a sample never affects its slot;
 //   2. touch phase   — the touched-row lists, and with them each row's
 //      slab slot (core/sparse_row_grad.h), are built serially in
 //      first-touch sample order, so they are independent of scheduling;
@@ -38,11 +40,12 @@
 // Samples reach the engine through the SampleSource interface so the batch
 // can live anywhere: the classic in-memory Subgraph vector, or a disk-backed
 // store paged through the buffer pool (out-of-core training). A sharded
-// source is visited in shard-sorted order within each batch — phase 1 groups
-// samples by shard, pins one shard at a time, and prefetches the next — but
-// every per-sample result is written to the sample's ORIGINAL batch slot, so
-// phases 2–3 (and therefore the model) are bit-identical to the unsharded
-// in-memory path.
+// source is gathered in shard-sorted order within each batch, pinning one
+// shard at a time — a group is a few samples when a batch spreads over many
+// small pages, so the gather copies small groups inline and leaves the
+// parallelism to the gradient fan-out. Every sample lands in its ORIGINAL
+// batch slot, so the gradients and phases 2–3 (and therefore the model) are
+// bit-identical to the unsharded in-memory path.
 
 #ifndef SEPRIVGEMB_CORE_BATCH_GRADIENT_ENGINE_H_
 #define SEPRIVGEMB_CORE_BATCH_GRADIENT_ENGINE_H_
@@ -106,7 +109,7 @@ class SampleSource {
   virtual size_t NegativesCount(uint32_t idx) const = 0;
 
   /// Shard geometry. The engine visits a batch grouped by ShardOf and never
-  /// holds more than the pinned shard (plus the prefetched next one).
+  /// holds more than the pinned shard.
   virtual size_t num_shards() const { return 1; }
   virtual size_t ShardOf(uint32_t /*idx*/) const { return 0; }
 
@@ -121,8 +124,6 @@ class SampleSource {
     PinShard(s);
     return OkStatus();
   }
-
-  virtual void PrefetchShard(size_t /*s*/) {}
 
   /// Sample `idx`, which must belong to the currently pinned shard.
   virtual SampleView Get(uint32_t idx) const = 0;
@@ -170,9 +171,9 @@ class BatchGradientEngine {
                          std::span<const Subgraph> subgraphs,
                          std::span<const uint32_t> batch);
 
-  /// Source-driven form: `batch` holds sample indices into `source`. Visits
-  /// the batch shard-by-shard (PinShard + PrefetchShard of the next group)
-  /// but writes each sample's gradient to its original batch slot, so the
+  /// Source-driven form: `batch` holds sample indices into `source`. Gathers
+  /// the batch shard-by-shard (one PinShard per group of samples sharing a
+  /// shard) but keeps each sample in its original batch slot, so the
   /// accumulated result — and the returned sample-order loss — is
   /// bit-identical to the in-memory overload for every shard geometry,
   /// thread count, and pool budget. Aborts if the source's storage fails.
@@ -229,7 +230,8 @@ class BatchGradientEngine {
   std::vector<NodeId> context_nodes_;
   std::vector<uint32_t> context_counts_;
   std::vector<double> losses_;
-  std::vector<NodeId> centers_;   // sample i's center, for phase 2
+  std::vector<NodeId> centers_;   // sample i's center
+  std::vector<double> sample_weights_;  // sample i's p_ij
   std::vector<uint32_t> center_slots_;   // phase 2's grad_in slot of sample i
   std::vector<uint32_t> context_slots_;  // grad_out slots, context_nodes_ shape
   std::vector<uint32_t> order_;   // shard-sorted visit order of batch slots

@@ -256,33 +256,6 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
   return OkStatus();
 }
 
-/// AdjacencyOracle over a GraphStore: pins the center's shard on demand.
-/// Releases its previous pin BEFORE taking the next one, so together with
-/// the consumer's own sequential pin it never holds more than two — the
-/// store's minimum pool budget.
-class StoreAdjacencyOracle final : public AdjacencyOracle {
- public:
-  explicit StoreAdjacencyOracle(GraphStore& store)
-      : store_(store), num_nodes_(store.num_nodes()) {}
-
-  size_t num_nodes() const override { return num_nodes_; }
-  bool HasEdge(NodeId u, NodeId v) const override {
-    const size_t s = store_.manifest().ShardOfNode(u);
-    if (s != cur_shard_) {
-      cur_ = PinnedShard();
-      cur_ = store_.Pin(s);
-      cur_shard_ = s;
-    }
-    return cur_->HasEdge(u, v);
-  }
-
- private:
-  GraphStore& store_;
-  size_t num_nodes_;
-  mutable PinnedShard cur_;
-  mutable size_t cur_shard_ = SIZE_MAX;
-};
-
 }  // namespace
 
 SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
@@ -514,7 +487,7 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
 
   const std::string samples_path = ooc.work_dir + "/samples.bin";
   {
-    StoreAdjacencyOracle oracle(store);
+    ShardHaloOracle oracle(store, provider.degrees());
     SubgraphGenerator gen(oracle, cfg.negatives, sampler_seed,
                           EdgeOrientation::kRandom,
                           cfg.negatives_exclude_neighbors);
@@ -536,7 +509,19 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
       // the sealed finalizer turns them into the stored p_ij weights.
       const ShardProximity sp = CachedShardProximities(
           view, s, graph_fp, provider, prox_opts, pool, cache_root);
+      // Edges go in index order (the generator's RNG stream depends on it),
+      // in runs whose centers' rows the oracle's halo holds. Without the
+      // non-adjacency test the generator never probes: one run, no halo.
+      size_t run_end = view.edge_begin;
+      Status halo;
       view.ForEachEdge([&](size_t e, NodeId u, NodeId v) {
+        if (e == run_end) {
+          run_end = view.edge_begin + view.edge_count;
+          if (halo.ok() && cfg.negatives_exclude_neighbors) {
+            halo = oracle.Load(view, e, &run_end);
+          }
+        }
+        if (!halo.ok()) return;
         const size_t k = e - view.edge_begin;
         const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
         const double w =
@@ -544,6 +529,7 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
         gen.Next(u, v, static_cast<uint32_t>(e), scratch);
         ok = writer->Append(scratch, w) && ok;
       });
+      SEPRIV_RETURN_IF_ERROR(halo);
     }
     ok = writer->Finish() && ok;
     if (!ok) {

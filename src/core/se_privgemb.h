@@ -142,7 +142,7 @@ struct OutOfCoreTrainOptions {
   std::string work_dir;
 
   /// BufferPool budget for the sample store, in pages. 0 = auto
-  /// (SEPRIV_POOL_PAGES, fallback 4); always clamped to >= 2.
+  /// (SEPRIV_POOL_PAGES, fallback 4); one page suffices.
   size_t sample_pool_pages = 0;
 
   /// Page size of the sample store file. 0 = kSampleStorePageBytes.
@@ -162,7 +162,9 @@ struct OutOfCoreTrainOptions {
 /// run shard-at-a-time through the per-shard cache, GS streams through an
 /// on-disk sample store, and epochs page samples through a fixed-budget
 /// buffer pool — resident state is O(|V| + one shard + pool budget), never
-/// O(|E|). Only ProximityKind::kPreferentialAttachment is supported (the
+/// O(|E|). The O(|V|) part is the degree vector and Algorithm 1's halo: the
+/// rows of later-shard centers, at most |V| adjacency entries, which
+/// ShardHaloOracle copies in per run of scan-shard edges. Only ProximityKind::kPreferentialAttachment is supported (the
 /// one preference whose oracle state is node-level: the degree vector).
 /// For identical (store contents, config), the returned result — model
 /// bits, loss curve, accounting — is identical to SePrivGEmb::Train() on

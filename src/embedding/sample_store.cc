@@ -176,9 +176,7 @@ SampleStore::SampleStore(std::unique_ptr<PageFile> file, size_t budget_pages,
       num_data_pages_(num_data_pages),
       verified_load_(num_data_pages, 0) {
   if (budget_pages == 0) budget_pages = BufferPool::BudgetFromEnv(4);
-  // >= 2: the pinned page plus room for the prefetched next one.
-  pool_ = std::make_unique<BufferPool>(*file_,
-                                       std::max<size_t>(2, budget_pages));
+  pool_ = std::make_unique<BufferPool>(*file_, budget_pages);
 }
 
 std::unique_ptr<SampleStore> SampleStore::Open(const std::string& path,
@@ -253,10 +251,6 @@ Status SampleStore::TryPinShard(size_t s) {
     pool_->Discard(1 + s);
   }
   return last_error;
-}
-
-void SampleStore::PrefetchShard(size_t s) {
-  if (s < num_data_pages_) pool_->Prefetch(1 + s);
 }
 
 SampleView SampleStore::Get(uint32_t idx) const {

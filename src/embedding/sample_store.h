@@ -6,8 +6,8 @@
 // SubgraphGenerator produces them, so GS never has to be resident. The
 // matching SampleStore is a SampleSource whose shards are the file's data
 // pages, read through a fixed-budget BufferPool: the batch-gradient engine
-// pins one page of samples at a time and prefetches the next, bounding
-// training's sample memory at (pool budget) pages regardless of |E|.
+// pins one page of samples at a time, bounding training's sample memory at
+// (pool budget) pages regardless of |E|.
 //
 // Layout (all little-endian, the only architecture the project targets):
 //   page 0        — header words: magic, version (2), num_samples, k,
@@ -41,9 +41,14 @@
 
 namespace sepriv {
 
-/// Default data-page size: large enough that a page amortises its seek over
-/// hundreds of records, small enough that a handful fit in a tight pool.
-inline constexpr size_t kSampleStorePageBytes = size_t{256} * 1024;
+/// Default data-page size: the OS page and an SSD's read unit. A batch is a
+/// uniform sample of the store, so it touches about min(B, pages) pages
+/// whatever their size, and the bytes read per batch scale with the page
+/// size. A B=128 batch of 48-byte records (k = 5) holds 6 KB; from a store
+/// of 10^5 records, 4 KiB pages fetch it in ~0.5 MB, and 256 KiB pages (19
+/// of them, nearly all touched) in ~4.9 MB. The size is recorded in the
+/// header, so stores written with other page sizes stay readable.
+inline constexpr size_t kSampleStorePageBytes = size_t{4} * 1024;
 
 /// Bytes of one record for a store with k negatives per sample.
 size_t SampleRecordBytes(size_t negatives_per_sample);
@@ -101,9 +106,9 @@ class SampleStore final : public SampleSource {
  public:
   /// Opens `path`, validating the header (magic, version, checksum, record
   /// geometry vs file size). `budget_pages` = 0 resolves SEPRIV_POOL_PAGES
-  /// (fallback 4); the effective budget is clamped to >= 2 so the pinned
-  /// page and a prefetched page can coexist. Returns nullptr on any
-  /// validation or I/O failure.
+  /// (fallback 4); one page suffices, since the engine pins one page at a
+  /// time and nothing is prefetched. Returns nullptr on any validation or
+  /// I/O failure.
   static std::unique_ptr<SampleStore> Open(const std::string& path,
                                            size_t budget_pages = 0);
 
@@ -121,7 +126,6 @@ class SampleStore final : public SampleSource {
   /// error surfaces. Leaves no shard pinned on failure.
   Status TryPinShard(size_t s) override;
 
-  void PrefetchShard(size_t s) override;
   SampleView Get(uint32_t idx) const override;
 
   size_t negatives_per_sample() const { return k_; }

@@ -6,6 +6,91 @@
 #include "util/check.h"
 
 namespace sepriv {
+namespace {
+
+/// The canonical edges of scan node u: its sorted neighbours above u.
+std::span<const NodeId> UpperNeighbors(const ShardView& scan, NodeId u) {
+  const auto row = scan.Neighbors(u);
+  return row.subspan(static_cast<size_t>(
+      std::upper_bound(row.begin(), row.end(), u) - row.begin()));
+}
+
+}  // namespace
+
+ShardHaloOracle::ShardHaloOracle(GraphStore& store,
+                                 std::span<const double> degrees)
+    : store_(store),
+      degrees_(degrees),
+      num_nodes_(store.num_nodes()),
+      stamp_(store.num_nodes(), 0) {
+  SEPRIV_CHECK(degrees.size() == num_nodes_, "degree vector size %zu != |V| %zu",
+               degrees.size(), num_nodes_);
+}
+
+Status ShardHaloOracle::Load(const ShardView& scan, size_t first_edge,
+                             size_t* end_edge) {
+  const size_t scan_end = scan.edge_begin + scan.edge_count;
+  SEPRIV_CHECK(first_edge >= scan.edge_begin && first_edge < scan_end,
+               "edge %zu outside the scan shard", first_edge);
+  scan_ = scan;
+  halo_nodes_.clear();
+  halo_offsets_.assign(1, 0);
+  halo_adj_.clear();
+  if (++run_ == 0) {  // stamp wrap-around: forget every earlier run
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    run_ = 1;
+  }
+
+  // Find first_edge's row, then admit edges in index order until one brings
+  // a new later-shard endpoint whose row would overflow the halo.
+  NodeId u = scan.node_begin;
+  size_t e = scan.edge_begin;
+  std::span<const NodeId> upper = UpperNeighbors(scan, u);
+  while (e + upper.size() <= first_edge) {
+    e += upper.size();
+    upper = UpperNeighbors(scan, ++u);
+  }
+  upper = upper.subspan(first_edge - e);
+  size_t entries = 0;
+  for (e = first_edge; e < scan_end; ++e) {
+    while (upper.empty()) upper = UpperNeighbors(scan, ++u);
+    const NodeId v = upper.front();
+    upper = upper.subspan(1);
+    if (v < scan.node_end || stamp_[v] == run_) continue;
+    const auto degree = static_cast<size_t>(degrees_[v]);
+    if (entries + degree > num_nodes_) break;
+    stamp_[v] = run_;
+    entries += degree;
+    halo_nodes_.push_back(v);
+  }
+  *end_edge = e;
+
+  // Copy the rows shard by shard: sorted nodes make each shard one pin.
+  std::sort(halo_nodes_.begin(), halo_nodes_.end());
+  halo_adj_.reserve(entries);
+  const ShardManifest& manifest = store_.manifest();
+  for (size_t i = 0; i < halo_nodes_.size();) {
+    PinnedShard pin;
+    SEPRIV_RETURN_IF_ERROR(
+        store_.TryPin(manifest.ShardOfNode(halo_nodes_[i]), &pin));
+    for (; i < halo_nodes_.size() && halo_nodes_[i] < pin->node_end; ++i) {
+      const auto row = pin->Neighbors(halo_nodes_[i]);
+      halo_adj_.insert(halo_adj_.end(), row.begin(), row.end());
+      halo_offsets_.push_back(halo_adj_.size());
+    }
+  }
+  SEPRIV_DCHECK(halo_adj_.size() == entries && entries <= num_nodes_);
+  return OkStatus();
+}
+
+bool ShardHaloOracle::HasEdge(NodeId u, NodeId v) const {
+  if (u >= scan_.node_begin && u < scan_.node_end) return scan_.HasEdge(u, v);
+  const auto it = std::lower_bound(halo_nodes_.begin(), halo_nodes_.end(), u);
+  SEPRIV_DCHECK(it != halo_nodes_.end() && *it == u);
+  const auto i = static_cast<size_t>(it - halo_nodes_.begin());
+  return std::binary_search(halo_adj_.data() + halo_offsets_[i],
+                            halo_adj_.data() + halo_offsets_[i + 1], v);
+}
 
 SubgraphGenerator::SubgraphGenerator(const AdjacencyOracle& oracle,
                                      int negatives_per_edge, uint64_t seed,

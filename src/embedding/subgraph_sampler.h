@@ -10,17 +10,21 @@
 // GS. SubgraphSampler (the resident form) is a thin loop over the generator;
 // for a fixed (seed, orientation, exclude_neighbors, negatives) and the same
 // edge order, both produce the identical RNG stream and hence identical
-// samples.
+// samples. ShardHaloOracle answers the generator's adjacency probes for one
+// pinned scan shard of a GraphStore at a time.
 
 #ifndef SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
 #define SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/shard.h"
 #include "util/privacy_annotations.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace sepriv {
 
@@ -39,13 +43,13 @@ enum class EdgeOrientation {
 };
 
 /// The adjacency questions Algorithm 1 asks — the only graph access the
-/// generator needs, so an out-of-core store can answer from a pinned shard.
+/// generator needs, so an out-of-core store can answer from resident rows.
 class AdjacencyOracle {
  public:
   virtual ~AdjacencyOracle() = default;
   virtual size_t num_nodes() const = 0;
   /// Whether the undirected edge {u, v} exists. Called with u = a sample's
-  /// center, so shard-aware implementations should keep u's shard pinned.
+  /// center, so shard-aware implementations need u's row resident.
   virtual bool HasEdge(NodeId u, NodeId v) const = 0;
 };
 
@@ -60,6 +64,50 @@ class GraphAdjacencyOracle final : public AdjacencyOracle {
 
  private:
   const Graph& graph_;
+};
+
+/// Oracle for streaming Algorithm 1 over a GraphStore, one scan shard at a
+/// time. The scan emits its canonical edges (u, v) with u in the shard and
+/// v > u, so a sample's center is a scan node or a node of a LATER shard.
+/// Load copies the rows of a run of edges' later endpoints into a halo, a
+/// small CSR, so that HasEdge answers from the scan view or the halo and
+/// never pins. A run ends before the edge whose new endpoint would push the
+/// halo past |V| adjacency entries; since every degree is below |V|, a run
+/// always admits its first edge. Resident state is O(|V|): the halo plus a
+/// per-node stamp. Not thread-safe; one oracle serves one generator.
+class ShardHaloOracle final : public AdjacencyOracle {
+ public:
+  /// `degrees[v]` is deg(v) for every node of `store` (the degree scan's
+  /// vector). Both must outlive the oracle.
+  ShardHaloOracle(GraphStore& store, std::span<const double> degrees);
+
+  /// Loads the halo of the run of `scan`'s canonical edges that starts at
+  /// global edge index `first_edge` and sets `*end_edge` to the index one
+  /// past its last edge. Pins the halo's shards in ascending order with
+  /// TryPin, one at a time, so the caller's pin of `scan` plus one more fit
+  /// the store's minimum pool budget of two. A pin failure is returned, and
+  /// HasEdge may not be called again until a later Load succeeds. `scan`
+  /// must stay pinned while HasEdge is used.
+  Status Load(const ShardView& scan, size_t first_edge, size_t* end_edge);
+
+  size_t num_nodes() const override { return num_nodes_; }
+
+  /// `u` must be a scan node or an endpoint of the loaded run's edges.
+  bool HasEdge(NodeId u, NodeId v) const override;
+
+  /// Adjacency entries in the loaded halo; never more than num_nodes().
+  size_t halo_entries() const { return halo_adj_.size(); }
+
+ private:
+  GraphStore& store_;
+  std::span<const double> degrees_;
+  size_t num_nodes_;
+  ShardView scan_;
+  std::vector<uint32_t> stamp_;      // per node: the last run that admitted it
+  uint32_t run_ = 0;
+  std::vector<NodeId> halo_nodes_;   // sorted
+  std::vector<size_t> halo_offsets_; // halo_nodes_.size() + 1 entries
+  std::vector<NodeId> halo_adj_;
 };
 
 /// Streaming form of Algorithm 1: call Next() once per canonical edge, in

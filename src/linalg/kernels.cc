@@ -158,18 +158,16 @@ void FillGaussian(Rng& rng, double* dst, size_t n, double mean,
   if (i < n) dst[i] = rng.Normal(mean, stddev);
 }
 
-void AccumulateGaussian(Rng& rng, double* dst, size_t n, double stddev,
-                        double scale) {
-  const double f = scale * stddev;
+void AccumulateGaussian(Rng& rng, double* dst, size_t n, double stddev) {
   size_t i = 0;
   double c, s;
-  if (n > 0 && rng.TakeCachedNormal(c)) dst[i++] += f * c;
+  if (n > 0 && rng.TakeCachedNormal(c)) dst[i++] += stddev * c;
   for (; i + 2 <= n; i += 2) {
     BoxMullerPair(rng, c, s);
-    dst[i] += f * c;
-    dst[i + 1] += f * s;
+    dst[i] += stddev * c;
+    dst[i + 1] += stddev * s;
   }
-  if (i < n) dst[i] += f * rng.Normal();
+  if (i < n) dst[i] += stddev * rng.Normal();
 }
 
 // --- GEMM entry points -------------------------------------------------------

@@ -148,9 +148,8 @@ inline void GaussianAccumulate(uint64_t key, uint64_t stream, uint64_t first,
 /// dst[0..n) = i.i.d. N(mean, stddev^2).
 void FillGaussian(Rng& rng, double* dst, size_t n, double mean, double stddev);
 
-/// dst[i] += scale * N(0, stddev^2), i.i.d. per element.
-void AccumulateGaussian(Rng& rng, double* dst, size_t n, double stddev,
-                        double scale = 1.0);
+/// dst[i] += N(0, stddev^2), i.i.d. per element.
+void AccumulateGaussian(Rng& rng, double* dst, size_t n, double stddev);
 
 // ---------------------------------------------------------------------------
 // Cache-blocked, thread-pool-parallel GEMM (kernels.cc).

@@ -79,6 +79,7 @@ class DegreeVectorProximity : public ProximityProvider {
   double At(NodeId i, NodeId j) const override {
     return (*degrees_)[i] * (*degrees_)[j] * inv_two_m_;
   }
+  const std::vector<double>& degrees() const { return *degrees_; }
   std::unique_ptr<ProximityProvider> Clone() const override {
     return std::unique_ptr<ProximityProvider>(new DegreeVectorProximity(*this));
   }

@@ -147,10 +147,6 @@ class Rng {
     has_cached_ = st.has_cached;
   }
 
-  /// Derives an independent child stream (for per-worker determinism).
-  /// Advances this engine by one draw.
-  Rng Fork() { return Rng(Next() ^ 0x9e3779b97f4a7c15ULL); }
-
   /// Derives the `stream`-th independent child from the current state
   /// WITHOUT advancing it: the same (state, stream) pair always yields the
   /// same child. This is the substream primitive parallel code uses to give

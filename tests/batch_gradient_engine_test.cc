@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "dp/clipping.h"
@@ -90,6 +91,93 @@ void SerialReference(const Fixture& f, bool clip, double clip_threshold,
     for (const auto& [row, grad] : g.context_grads) {
       grad_out.AddToRow(row, grad);
     }
+  }
+}
+
+/// Bit equality of two accumulators: same touched rows in the same slot
+/// order, and bit-identical slot rows.
+bool SameBits(const SparseRowGrad& a, const SparseRowGrad& b) {
+  if (a.touched() != b.touched()) return false;
+  for (size_t s = 0; s < a.touched().size(); ++s) {
+    const auto ra = a.SlotRow(static_cast<uint32_t>(s));
+    const auto rb = b.SlotRow(static_cast<uint32_t>(s));
+    if (std::memcmp(ra.data(), rb.data(), ra.size_bytes()) != 0) return false;
+  }
+  return true;
+}
+
+/// The fixture's samples as a sharded source of `per_shard` samples per
+/// shard, whose TryPinShard fails on its `fail_on_pin`-th call (1-based;
+/// 0 never fails).
+class FlakySource final : public SampleSource {
+ public:
+  FlakySource(const Fixture& f, size_t per_shard)
+      : inner_(f.sampler.All(), f.weights), per_shard_(per_shard) {}
+
+  size_t size() const override { return inner_.size(); }
+  size_t NegativesCount(uint32_t idx) const override {
+    return inner_.NegativesCount(idx);
+  }
+  size_t num_shards() const override {
+    return (inner_.size() + per_shard_ - 1) / per_shard_;
+  }
+  size_t ShardOf(uint32_t idx) const override { return idx / per_shard_; }
+  Status TryPinShard(size_t /*s*/) override {
+    if (++pins_ == fail_on_pin) return IoError("injected pin failure");
+    return OkStatus();
+  }
+  SampleView Get(uint32_t idx) const override { return inner_.Get(idx); }
+
+  size_t pins() const { return pins_; }
+  size_t fail_on_pin = 0;
+
+ private:
+  InMemorySampleSource inner_;
+  size_t per_shard_;
+  size_t pins_ = 0;
+};
+
+TEST(BatchGradientEngineTest, FailedPinLeavesLossAndAccumulatorsUntouched) {
+  const Fixture f;
+  Rng rng(41);
+  const std::vector<uint32_t> second = f.sampler.SampleBatch(40, rng);
+  for (size_t threads : {1UL, 4UL}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    // Reference: both batches accumulated without a fault.
+    BatchGradientEngine clean(f.Options(threads, true), f.weights);
+    FlakySource clean_source(f, /*per_shard=*/16);
+    double clean_loss = 0.0;
+    ASSERT_TRUE(
+        clean.TryAccumulateBatch(f.model, clean_source, f.batch, &clean_loss)
+            .ok());
+    ASSERT_TRUE(
+        clean.TryAccumulateBatch(f.model, clean_source, second, &clean_loss)
+            .ok());
+
+    BatchGradientEngine engine(f.Options(threads, true), f.weights);
+    FlakySource source(f, /*per_shard=*/16);
+    double loss = 0.0;
+    ASSERT_TRUE(engine.TryAccumulateBatch(f.model, source, f.batch, &loss).ok());
+    const std::vector<uint32_t> in_before = engine.grad_in().touched();
+    const std::vector<uint32_t> out_before = engine.grad_out().touched();
+
+    // The second batch's second shard group fails to pin.
+    source.fail_on_pin = source.pins() + 2;
+    loss = -1.0;
+    const Status status =
+        engine.TryAccumulateBatch(f.model, source, second, &loss);
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_EQ(source.pins(), source.fail_on_pin);
+    EXPECT_EQ(loss, -1.0);
+    EXPECT_EQ(engine.grad_in().touched(), in_before);
+    EXPECT_EQ(engine.grad_out().touched(), out_before);
+
+    // Once the fault clears, retrying the batch gives the clean result.
+    source.fail_on_pin = 0;
+    ASSERT_TRUE(engine.TryAccumulateBatch(f.model, source, second, &loss).ok());
+    EXPECT_EQ(loss, clean_loss);
+    EXPECT_TRUE(SameBits(engine.grad_in(), clean.grad_in()));
+    EXPECT_TRUE(SameBits(engine.grad_out(), clean.grad_out()));
   }
 }
 

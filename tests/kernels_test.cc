@@ -294,10 +294,10 @@ TEST(KernelsTest, FillGaussianStreamIdenticalToScalarNormal) {
 TEST(KernelsTest, AccumulateGaussianAddsScaledNoise) {
   Rng r1(23), r2(23);
   std::vector<double> base(32, 10.0), noise(32);
-  kernels::AccumulateGaussian(r1, base.data(), base.size(), 3.0, -0.5);
+  kernels::AccumulateGaussian(r1, base.data(), base.size(), 3.0);
   kernels::FillGaussian(r2, noise.data(), noise.size(), 0.0, 1.0);
   for (size_t i = 0; i < base.size(); ++i) {
-    EXPECT_NEAR(base[i], 10.0 - 0.5 * 3.0 * noise[i], 1e-12);
+    EXPECT_NEAR(base[i], 10.0 + 3.0 * noise[i], 1e-12);
   }
 }
 

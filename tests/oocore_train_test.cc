@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "core/se_privgemb.h"
+#include "embedding/sample_store.h"
 #include "embedding/subgraph_sampler.h"
 #include "graph/generators.h"
 #include "graph/shard.h"
 #include "test_tmpdir.h"
 #include "util/digest.h"
+#include "util/failpoint.h"
 
 namespace sepriv {
 namespace {
@@ -38,6 +40,50 @@ struct TrainDigest {
 
   bool operator==(const TrainDigest&) const = default;
 };
+
+/// K_n (n even) minus the perfect matching {0,1}, {2,3}, ...: every node's
+/// only non-neighbour is its partner.
+Graph CompleteMinusMatching(size_t n) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (u % 2 != 0 || v != u + 1) edges.push_back({u, v});
+    }
+  }
+  return Graph::FromEdges(n, std::move(edges));
+}
+
+std::vector<double> Degrees(const Graph& g) {
+  std::vector<double> degrees(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    degrees[v] = static_cast<double>(g.Degree(v));
+  }
+  return degrees;
+}
+
+/// Loads every run of every scan shard of `store` in order, as the trainer
+/// does, and returns how many runs there were. `visit(view, first, end)`
+/// sees each run while its halo is loaded.
+template <typename Visit>
+size_t ForEachHaloRun(GraphStore& store, ShardHaloOracle& oracle,
+                      Visit&& visit) {
+  size_t runs = 0;
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    PinnedShard pin;
+    EXPECT_TRUE(store.TryPin(s, &pin).ok());
+    const ShardView& view = pin.view();
+    const size_t scan_end = view.edge_begin + view.edge_count;
+    for (size_t first = view.edge_begin; first < scan_end; ++runs) {
+      size_t end = 0;
+      EXPECT_TRUE(oracle.Load(view, first, &end).ok());
+      EXPECT_GT(end, first);
+      EXPECT_LE(end, scan_end);
+      visit(view, first, end);
+      first = end;
+    }
+  }
+  return runs;
+}
 
 class OocoreTrainTest : public ::testing::Test {
  protected:
@@ -193,6 +239,135 @@ TEST_F(OocoreTrainTest, GeneratorStreamMatchesBulkSampler) {
     ASSERT_EQ(s.edge_index, want.edge_index);
     ASSERT_EQ(s.negatives, want.negatives) << "edge " << e;
   }
+}
+
+TEST_F(OocoreTrainTest, HaloAnswersEveryProbeOfItsRunOnADenseGraph) {
+  // Each center has one valid negative in 48, so rejection sampling often
+  // exhausts its tries and the reservoir fallback probes EVERY node; and
+  // each later-shard endpoint brings 46 halo entries, so a |V| = 48 budget
+  // admits one per run and every scan shard with later shards needs many.
+  const Graph g = CompleteMinusMatching(48);
+  InMemoryGraphStore store(g, 3);
+  const std::vector<double> degrees = Degrees(g);
+  ShardHaloOracle oracle(store, degrees);
+  size_t max_halo = 0;
+  const size_t runs = ForEachHaloRun(
+      store, oracle, [&](const ShardView& view, size_t first, size_t end) {
+        max_halo = std::max(max_halo, oracle.halo_entries());
+        for (size_t e = first; e < end; ++e) {
+          const Edge& edge = g.Edges()[e];
+          ASSERT_GE(edge.u, view.node_begin);
+          ASSERT_LT(edge.u, view.node_end);
+          for (const NodeId c : {edge.u, edge.v}) {
+            for (NodeId x = 0; x < g.num_nodes(); ++x) {
+              ASSERT_EQ(oracle.HasEdge(c, x), g.HasEdge(c, x))
+                  << "edge " << e << " center " << c << " probe " << x;
+            }
+          }
+        }
+      });
+  EXPECT_GT(runs, 2 * store.num_shards());
+  EXPECT_GT(max_halo, 0u);
+  EXPECT_LE(max_halo, g.num_nodes());
+}
+
+TEST_F(OocoreTrainTest, DenseGraphSamplesMatchTheBulkSamplerOneByOne) {
+  const Graph g = CompleteMinusMatching(48);
+  SePrivGEmbConfig cfg = BaseConfig();
+  cfg.negatives = 8;
+  SePrivGEmb ref_trainer(g, ProximityKind::kPreferentialAttachment, cfg);
+  const TrainDigest ref(ref_trainer.Train());
+
+  const std::string root = TempDirFor("dense");
+  std::filesystem::create_directories(root);
+  const std::string shard_dir = root + "/g";
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 3));
+  auto store = SsdGraphStore::Open(shard_dir, 2);
+  ASSERT_NE(store, nullptr);
+  OutOfCoreTrainOptions ooc;
+  ooc.work_dir = root + "/work";
+  ooc.sample_pool_pages = 2;
+  ooc.keep_sample_store = true;
+  const TrainDigest got(TrainOutOfCore(
+      *store, ProximityKind::kPreferentialAttachment, cfg, ooc));
+  EXPECT_EQ(got, ref);
+
+  // The trainer's first draw seeds Algorithm 1, as in Train().
+  Rng rng(cfg.seed);
+  const SubgraphSampler bulk(g, cfg.negatives, rng.Next());
+  auto samples = SampleStore::Open(ooc.work_dir + "/samples.bin", 2);
+  ASSERT_NE(samples, nullptr);
+  ASSERT_EQ(samples->size(), bulk.size());
+  for (uint32_t i = 0; i < bulk.size(); ++i) {
+    ASSERT_TRUE(samples->TryPinShard(samples->ShardOf(i)).ok());
+    const SampleView v = samples->Get(i);
+    const Subgraph& want = bulk.All()[i];
+    ASSERT_EQ(v.center, want.center) << "sample " << i;
+    ASSERT_EQ(v.context, want.context) << "sample " << i;
+    ASSERT_EQ(std::vector<NodeId>(v.negatives.begin(), v.negatives.end()),
+              want.negatives)
+        << "sample " << i;
+  }
+}
+
+TEST_F(OocoreTrainTest, HaloBoundsGraphPoolMissesByRunsTimesShards) {
+  const Graph g = BarabasiAlbert(2000, 5, /*seed=*/26);
+  const size_t shards = 16;
+  const std::string root = TempDirFor("pins");
+  std::filesystem::create_directories(root);
+  const std::string shard_dir = root + "/g";
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, shards));
+
+  size_t runs = 0;
+  {
+    auto probe = SsdGraphStore::Open(shard_dir, 2);
+    ASSERT_NE(probe, nullptr);
+    const std::vector<double> degrees = Degrees(g);
+    ShardHaloOracle oracle(*probe, degrees);
+    runs = ForEachHaloRun(*probe, oracle,
+                          [](const ShardView&, size_t, size_t) {});
+  }
+
+  auto store = SsdGraphStore::Open(shard_dir, 2);
+  ASSERT_NE(store, nullptr);
+  OutOfCoreTrainOptions ooc;
+  ooc.work_dir = root + "/work";
+  ooc.sample_pool_pages = 2;
+  TrainOutOfCore(*store, ProximityKind::kPreferentialAttachment, BaseConfig(),
+                 ooc);
+  // Three sequential scans (degrees, proximity, Algorithm 1) miss at most
+  // once per shard each, and a run pins each other shard at most once. A
+  // pin-on-demand oracle switches shards about once per edge instead:
+  // thousands of misses here.
+  const uint64_t misses = store->pool().stats().misses;
+  EXPECT_LE(misses, 3 * shards + runs * (shards - 1))
+      << runs << " runs over " << shards << " shards";
+}
+
+TEST_F(OocoreTrainTest, HaloLoadSurfacesReadFaultsInsteadOfAborting) {
+  const Graph g = BarabasiAlbert(300, 4, /*seed=*/27);
+  const std::string root = TempDirFor("halo_fault");
+  std::filesystem::create_directories(root);
+  const std::string shard_dir = root + "/g";
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 4));
+  auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+  ASSERT_NE(store, nullptr);
+  const std::vector<double> degrees = Degrees(g);
+  ShardHaloOracle oracle(*store, degrees);
+
+  PinnedShard scan;
+  ASSERT_TRUE(store->TryPin(0, &scan).ok());
+  // Every read now fails, so the halo's first pin of a later shard
+  // exhausts the pool's retries.
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=err"));
+  size_t end = 0;
+  const Status status = oracle.Load(scan.view(), scan->edge_begin, &end);
+  failpoint::ClearAll();
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+
+  // The fault cleared, the same run loads.
+  ASSERT_TRUE(oracle.Load(scan.view(), scan->edge_begin, &end).ok());
+  EXPECT_GT(end, scan->edge_begin);
 }
 
 TEST_F(OocoreTrainTest, ProximityShardsKnobIsBitIdentical) {
