@@ -164,8 +164,9 @@ struct OutOfCoreTrainOptions {
 /// buffer pool — resident state is O(|V| + one shard + pool budget), never
 /// O(|E|). The O(|V|) part is the degree vector and Algorithm 1's halo: the
 /// rows of later-shard centers, at most |V| adjacency entries, which
-/// ShardHaloOracle copies in per run of scan-shard edges. Only ProximityKind::kPreferentialAttachment is supported (the
-/// one preference whose oracle state is node-level: the degree vector).
+/// ShardHaloOracle copies in per run of scan-shard edges. Only
+/// ProximityKind::kPreferentialAttachment is supported (the one preference
+/// whose oracle state is node-level: the degree vector).
 /// For identical (store contents, config), the returned result — model
 /// bits, loss curve, accounting — is identical to SePrivGEmb::Train() on
 /// the equivalent in-memory graph, for every shard count, thread count,

@@ -23,8 +23,9 @@ ShardHaloOracle::ShardHaloOracle(GraphStore& store,
       degrees_(degrees),
       num_nodes_(store.num_nodes()),
       stamp_(store.num_nodes(), 0) {
-  SEPRIV_CHECK(degrees.size() == num_nodes_, "degree vector size %zu != |V| %zu",
-               degrees.size(), num_nodes_);
+  SEPRIV_CHECK(degrees.size() == num_nodes_,
+               "degree vector size %zu != |V| %zu", degrees.size(),
+               num_nodes_);
 }
 
 Status ShardHaloOracle::Load(const ShardView& scan, size_t first_edge,
