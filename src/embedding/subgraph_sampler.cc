@@ -37,7 +37,8 @@ Status ShardHaloOracle::Load(const ShardView& scan, size_t first_edge,
   halo_nodes_.clear();
   halo_offsets_.assign(1, 0);
   halo_adj_.clear();
-  if (++run_ == 0) {  // stamp wrap-around: forget every earlier run
+  ++run_;
+  if (run_ == 0) {  // stamp wrap-around: forget every earlier run
     std::fill(stamp_.begin(), stamp_.end(), 0);
     run_ = 1;
   }
