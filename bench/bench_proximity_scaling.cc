@@ -1,8 +1,8 @@
 // Thread-scaling + cache benchmark for the parallel proximity engine.
 //
 // Generates a Barabási–Albert graph (100k nodes by default) and runs the
-// full structure-preference precompute (both edge passes of
-// ParallelEdgeProximities) for the high-order preferences the paper
+// full structure-preference precompute (both edge passes of the shard pass
+// over a one-shard store) for the high-order preferences the paper
 // evaluates — Katz, personalized PageRank, DeepWalk (exact and sampled) —
 // at 1/2/4/8 worker threads, reporting edges/second and speedup over the
 // single-thread baseline. A per-configuration digest over the full
@@ -113,9 +113,9 @@ int main(int argc, char** argv) {
     const auto provider = MakeProximity(kinds[k], graph, opts);
     double base_time = 0.0;
     for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
-      ThreadPool pool(threads);
       WallTimer timer;
-      const EdgeProximity ep = ParallelEdgeProximities(graph, *provider, pool);
+      const EdgeProximity ep =
+          CachedEdgeProximities(graph, *provider, opts, threads, "");
       const double secs = timer.ElapsedSeconds();
       if (threads == 1) base_time = secs;
       if (threads == 4) cold_times[k] = secs;
@@ -143,16 +143,16 @@ int main(int argc, char** argv) {
   std::printf("\n== persistent cache (dir: %s) ==\n", cache_dir.c_str());
   std::printf("%-18s %12s %12s %10s %18s\n", "preference", "cold_s",
               "warm_s", "ratio", "digest(warm)");
-  ThreadPool pool(ThreadPool::ResolveThreads(0));
+  const size_t threads = ThreadPool::ResolveThreads(0);
   for (size_t k = 0; k < kinds.size(); ++k) {
     const auto provider = MakeProximity(kinds[k], graph, opts);
     WallTimer cold_timer;
     const EdgeProximity cold =
-        CachedEdgeProximities(graph, *provider, opts, pool, cache_dir);
+        CachedEdgeProximities(graph, *provider, opts, threads, cache_dir);
     const double cold_s = cold_timer.ElapsedSeconds();
     WallTimer warm_timer;
     const EdgeProximity warm =
-        CachedEdgeProximities(graph, *provider, opts, pool, cache_dir);
+        CachedEdgeProximities(graph, *provider, opts, threads, cache_dir);
     const double warm_s = warm_timer.ElapsedSeconds();
     const bool identical = ProximityDigest(cold) == ProximityDigest(warm);
     std::printf("%-18s %12.3f %12.4f %9.1fx %18" PRIx64 "%s\n",

@@ -85,8 +85,8 @@ struct BatchGradientEngineOptions {
 /// One training sample as the gradient phase consumes it: the (center,
 /// context, negatives) triple plus its resolved positive weight p_ij. The
 /// negatives span points into source-owned storage and is only valid until
-/// the source's next PinShard call (or destruction). Sensitive: a sample IS
-/// a raw edge plus adjacency-derived negatives.
+/// the source's next TryPinShard call (or destruction). Sensitive: a sample
+/// IS a raw edge plus adjacency-derived negatives.
 struct SEPRIV_SENSITIVE_SOURCE SampleView {
   NodeId center = 0;
   NodeId context = 0;
@@ -114,16 +114,11 @@ class SampleSource {
   virtual size_t ShardOf(uint32_t /*idx*/) const { return 0; }
 
   /// Makes shard `s` resident; Get() for its samples is valid (and must be
-  /// safe to call concurrently from pool workers) until the next PinShard.
-  virtual void PinShard(size_t /*s*/) {}
-
-  /// Recoverable variant: disk-backed sources surface IO/corruption as a
-  /// structured error (after their own bounded re-read recovery) instead of
-  /// aborting. The default wraps PinShard, which never fails in memory.
-  virtual Status TryPinShard(size_t s) {
-    PinShard(s);
-    return OkStatus();
-  }
+  /// safe to call concurrently from pool workers) until the next
+  /// TryPinShard. Disk-backed sources surface IO/corruption as a structured
+  /// error (after their own bounded re-read recovery). The default suits a
+  /// single-shard resident source, which never fails.
+  virtual Status TryPinShard(size_t /*s*/) { return OkStatus(); }
 
   /// Sample `idx`, which must belong to the currently pinned shard.
   virtual SampleView Get(uint32_t idx) const = 0;
@@ -172,7 +167,7 @@ class BatchGradientEngine {
                          std::span<const uint32_t> batch);
 
   /// Source-driven form: `batch` holds sample indices into `source`. Gathers
-  /// the batch shard-by-shard (one PinShard per group of samples sharing a
+  /// the batch shard-by-shard (one TryPinShard per group of samples sharing a
   /// shard) but keeps each sample in its original batch slot, so the
   /// accumulated result — and the returned sample-order loss — is
   /// bit-identical to the in-memory overload for every shard geometry,

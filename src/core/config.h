@@ -84,12 +84,10 @@ struct SePrivGEmbConfig {
   /// num_threads with the auto policy applied (always >= 1).
   size_t ResolvedThreads() const;
 
-  /// Shard count of the structure-preference precompute. 1 (default) runs
-  /// the whole-graph parallel pass; > 1 routes the proximity-kind
-  /// constructor through the shard-granular engine (graph/shard.h) with
-  /// this many node-range shards — the same code path out-of-core training
-  /// uses, bit-identical output for every value. Mainly a test/bench knob:
-  /// real out-of-core callers go through TrainOutOfCore with a disk store.
+  /// Node-range shard count of the in-memory store the structure-preference
+  /// precompute runs over. It does not affect results: the table is
+  /// bit-identical for every value. It stays only because
+  /// perfbench/replica.cc reads it.
   size_t proximity_shards = 1;
 
   /// Directory of the persistent edge-weight cache consulted before the

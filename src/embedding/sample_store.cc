@@ -217,12 +217,6 @@ std::unique_ptr<SampleStore> SampleStore::Open(const std::string& path,
       samples_per_page, num_data_pages));
 }
 
-void SampleStore::PinShard(size_t s) {
-  const Status status = TryPinShard(s);
-  SEPRIV_CHECK(status.ok(), "sample store pin failed after retries: %s",
-               status.ToString().c_str());
-}
-
 Status SampleStore::TryPinShard(size_t s) {
   if (s >= num_data_pages_) {
     return FailedPreconditionError("sample shard out of range");

@@ -100,7 +100,7 @@ class SampleStoreWriter {
 };
 
 /// Read side: a SampleSource over the finished file. One shard per data
-/// page; PinShard/Get follow the engine's contract (Get is lock-free reads
+/// page; TryPinShard/Get follow the engine's contract (Get is lock-free reads
 /// of the pinned frame, safe from concurrent pool workers).
 class SampleStore final : public SampleSource {
  public:
@@ -118,9 +118,6 @@ class SampleStore final : public SampleSource {
   size_t ShardOf(uint32_t idx) const override {
     return idx / samples_per_page_;
   }
-  /// Aborting wrapper over TryPinShard (the engine's historical contract).
-  void PinShard(size_t s) override;
-
   /// Recoverable pin: a transient read fault or page-checksum mismatch is
   /// retried with bounded drop-and-re-read (BufferPool::Discard) before the
   /// error surfaces. Leaves no shard pinned on failure.

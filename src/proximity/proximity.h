@@ -67,7 +67,7 @@ class ProximityProvider {
   virtual double At(NodeId i, NodeId j) const = 0;
 
   /// Fresh provider over the same graph with identical parameters and an
-  /// empty row cache. Each worker of ParallelEdgeProximities owns a private
+  /// empty row cache. Each worker of ComputeShardProximities owns a private
   /// clone, so the (mutable, non-thread-safe) row caches never race.
   virtual std::unique_ptr<ProximityProvider> Clone() const = 0;
 
@@ -136,10 +136,10 @@ class ProximityFinalizer {
   double normalized_min_positive_ = 0.0;
 };
 
-/// Shared tail of ComputeEdgeProximities and ParallelEdgeProximities:
+/// Shared tail of ComputeEdgeProximities and ShardedEdgeProximities:
 /// symmetrises the per-edge forward/backward passes, floors zero values,
-/// records min/max, and normalises. Kept common so the serial and parallel
-/// engines are bit-identical by construction.
+/// records min/max, and normalises. Kept common so the serial reference and
+/// the shard pass are bit-identical by construction.
 EdgeProximity FinalizeEdgeProximities(const std::vector<double>& forward,
                                       const std::vector<double>& backward);
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <iterator>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -22,34 +20,34 @@ namespace sepriv {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Parallel engine
+// The shard pass
 // ---------------------------------------------------------------------------
 
-/// Splits [0, m) into at most `target` contiguous ranges of roughly equal
+/// Splits [0, m) into at most `target` contiguous chunks of roughly equal
 /// size whose boundaries never fall inside a run of equal `key(e)` — each
-/// distinct source node is computed by exactly one shard, so a shard's
+/// distinct source node is computed by exactly one chunk, so a chunk's
 /// provider clone keeps its row cache warm and no row is computed twice.
 template <typename KeyFn>
-std::vector<std::pair<size_t, size_t>> AlignedShards(size_t m, size_t target,
+std::vector<std::pair<size_t, size_t>> AlignedChunks(size_t m, size_t target,
                                                      const KeyFn& key) {
-  std::vector<std::pair<size_t, size_t>> shards;
-  if (m == 0) return shards;
+  std::vector<std::pair<size_t, size_t>> chunks;
+  if (m == 0) return chunks;
   target = std::max<size_t>(1, target);
-  const size_t chunk = (m + target - 1) / target;
+  const size_t size = (m + target - 1) / target;
   size_t begin = 0;
   while (begin < m) {
-    size_t end = std::min(m, begin + chunk);
+    size_t end = std::min(m, begin + size);
     while (end < m && key(end) == key(end - 1)) ++end;  // don't split a group
-    shards.emplace_back(begin, end);
+    chunks.emplace_back(begin, end);
     begin = end;
   }
-  return shards;
+  return chunks;
 }
 
 /// Fixed-size pool of provider clones handed out to in-flight chunks. The
 /// pool never holds more concurrent chunks than worker threads, so Acquire
 /// cannot run dry; a mutex-guarded freelist is plenty (a few transitions per
-/// shard, not per edge).
+/// chunk, not per edge).
 class ClonePool {
  public:
   ClonePool(const ProximityProvider& prototype, size_t count) {
@@ -82,28 +80,57 @@ class ClonePool {
   Mutex mu_;
 };
 
-/// Runs one direction pass: every shard queries a private clone for its
+/// Runs one direction pass: every chunk queries a private clone for its
 /// index range. `per_index` must write to a per-index slot — determinism
 /// then follows from At() being pure in (i, j).
 template <typename PerIndex>
-void RunPass(const std::vector<std::pair<size_t, size_t>>& shards,
+void RunPass(const std::vector<std::pair<size_t, size_t>>& chunks,
              ClonePool& clones, ThreadPool& pool, const PerIndex& per_index) {
-  pool.ParallelFor(shards.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
+  pool.ParallelFor(chunks.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
       ProximityProvider* p = clones.Acquire();
-      for (size_t i = shards[s].first; i < shards[s].second; ++i)
+      for (size_t i = chunks[c].first; i < chunks[c].second; ++i)
         per_index(*p, i);
       clones.Release(p);
     }
   });
 }
 
+/// One shard's canonical edges materialised for the parallel passes:
+/// edge-level memory for ONE shard only, the bound the out-of-core layer is
+/// built around. ForEachEdge visits them in (u, v) order.
+std::vector<Edge> ShardEdgeList(const ShardView& view) {
+  std::vector<Edge> edges;
+  edges.reserve(view.edge_count);
+  view.ForEachEdge([&edges](size_t, NodeId u, NodeId v) {
+    edges.push_back({u, v});
+  });
+  return edges;
+}
+
+/// Indices of `edges` (non-empty, sorted by (u, v)) ordered by (v, u): the
+/// backward pass's row grouping. A stable counting sort by v keeps equal-v
+/// edges in index order, which is u order, so it yields the same
+/// permutation as a comparison sort on (v, u) in O(m + range of v).
+std::vector<size_t> OrderByTarget(const std::vector<Edge>& edges) {
+  const auto [lo, hi] = std::minmax_element(
+      edges.begin(), edges.end(),
+      [](const Edge& a, const Edge& b) { return a.v < b.v; });
+  const NodeId v0 = lo->v;
+  std::vector<size_t> next(static_cast<size_t>(hi->v - v0) + 2, 0);
+  for (const Edge& e : edges) ++next[e.v - v0 + 1];
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  std::vector<size_t> by_v(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e) by_v[next[edges[e].v - v0]++] = e;
+  return by_v;
+}
+
 // ---------------------------------------------------------------------------
 // Cache serialisation
 // ---------------------------------------------------------------------------
 
-constexpr uint32_t kCacheMagic = 0x53505843;  // "SPXC"
-constexpr uint32_t kCacheVersion = 1;
+constexpr uint32_t kShardCacheMagic = 0x53505853;  // "SPXS"
+constexpr uint32_t kShardCacheVersion = 1;
 
 /// splitmix64-chained digest over a byte range, 8 bytes at a time with a
 /// zero-padded tail. Guards the cache file against truncation/corruption.
@@ -126,8 +153,8 @@ uint64_t DigestBytes(const char* data, size_t len) {
 /// The ProximityOptions fields in a fixed serialisation order, for both the
 /// cache-file header (stored and re-verified field by field on load — a key
 /// hash collision can therefore cause a spurious miss, never a wrong hit)
-/// and HashProximityOptions. Serialised individually, never memcpy'd as a
-/// struct: padding bytes would leak indeterminate memory into the file.
+/// and the key hash. Serialised individually, never memcpy'd as a struct:
+/// padding bytes would leak indeterminate memory into the file.
 std::vector<uint64_t> OptionWords(const ProximityOptions& opts) {
   return {static_cast<uint64_t>(opts.katz_max_length),
           std::bit_cast<uint64_t>(opts.katz_beta),
@@ -137,6 +164,24 @@ std::vector<uint64_t> OptionWords(const ProximityOptions& opts) {
           static_cast<uint64_t>(opts.dw_walks_per_node),
           static_cast<uint64_t>(opts.dw_walk_length),
           opts.seed};
+}
+
+/// 64-bit digest of every ProximityOptions field. Part of the cache key, so
+/// any option change — even one the current provider ignores — invalidates
+/// conservatively (a spurious recompute, never a wrong hit).
+uint64_t HashProximityOptions(const ProximityOptions& opts) {
+  uint64_t h = 0xa0761d6478bd642fULL;
+  for (uint64_t word : OptionWords(opts)) h = HashMix(h, word);
+  return h;
+}
+
+uint64_t CacheKeyHash(const std::string& provider_name,
+                      const ProximityOptions& opts) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ HashProximityOptions(opts);
+  for (char c : provider_name) {
+    h = HashMix(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  return h;
 }
 
 template <typename T>
@@ -187,239 +232,6 @@ class ByteReader {
   size_t cur_ = 0;
 };
 
-uint64_t CacheKeyHash(const std::string& provider_name,
-                      const ProximityOptions& opts) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL ^ HashProximityOptions(opts);
-  for (char c : provider_name) {
-    h = HashMix(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  return h;
-}
-
-}  // namespace
-
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      ThreadPool& pool) {
-  const auto& edges = graph.Edges();
-  const size_t m = edges.size();
-  const size_t threads = pool.num_threads();
-  // The serial engine IS the single-thread path: bit-identity with
-  // ComputeEdgeProximities holds by construction, not by parallel text.
-  if (threads <= 1 || m < 2) return ComputeEdgeProximities(graph, provider);
-
-  std::vector<double> forward(m), backward(m);
-
-  // Reverse-direction visit order grouped by v (canonical edges are sorted
-  // by u), exactly as in the serial engine.
-  std::vector<size_t> by_v(m);
-  for (size_t e = 0; e < m; ++e) by_v[e] = e;
-  std::sort(by_v.begin(), by_v.end(), [&edges](size_t a, size_t b) {
-    return edges[a].v != edges[b].v ? edges[a].v < edges[b].v
-                                    : edges[a].u < edges[b].u;
-  });
-
-  // Over-decompose (4 shards per worker) so a shard that hits expensive hub
-  // rows doesn't straggle the pass; clones stay bounded by the thread count.
-  const size_t target_shards = threads * 4;
-  ClonePool clones(provider, threads);
-
-  const auto fwd_shards = AlignedShards(
-      m, target_shards, [&edges](size_t e) { return edges[e].u; });
-  RunPass(fwd_shards, clones, pool,
-          [&](const ProximityProvider& p, size_t i) {
-            forward[i] = p.At(edges[i].u, edges[i].v);
-          });
-
-  const auto bwd_shards = AlignedShards(
-      m, target_shards, [&](size_t e) { return edges[by_v[e]].v; });
-  RunPass(bwd_shards, clones, pool,
-          [&](const ProximityProvider& p, size_t i) {
-            const size_t idx = by_v[i];
-            backward[idx] = p.At(edges[idx].v, edges[idx].u);
-          });
-
-  return FinalizeEdgeProximities(forward, backward);
-}
-
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      size_t num_threads) {
-  ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
-  return ParallelEdgeProximities(graph, provider, pool);
-}
-
-uint64_t HashProximityOptions(const ProximityOptions& opts) {
-  uint64_t h = 0xa0761d6478bd642fULL;
-  for (uint64_t word : OptionWords(opts)) h = HashMix(h, word);
-  return h;
-}
-
-std::string ProximityCacheFileName(const Graph& graph,
-                                   const std::string& provider_name,
-                                   const ProximityOptions& opts) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "prox_%016llx_%016llx.bin",
-                static_cast<unsigned long long>(graph.Fingerprint()),
-                static_cast<unsigned long long>(
-                    CacheKeyHash(provider_name, opts)));
-  return buf;
-}
-
-bool SaveEdgeProximityCache(const std::string& dir, const Graph& graph,
-                            const std::string& provider_name,
-                            const ProximityOptions& opts,
-                            const EdgeProximity& prox) {
-  if (dir.empty()) return false;
-  if (prox.values.size() != graph.num_edges() ||
-      prox.normalized.size() != graph.num_edges()) {
-    return false;  // refuse to persist an inconsistent table
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort
-
-  std::string blob;
-  blob.reserve(64 + provider_name.size() +
-               2 * prox.values.size() * sizeof(double));
-  AppendPod(blob, kCacheMagic);
-  AppendPod(blob, kCacheVersion);
-  AppendPod(blob, graph.Fingerprint());
-  AppendPod(blob, static_cast<uint64_t>(graph.num_nodes()));
-  AppendPod(blob, static_cast<uint64_t>(graph.num_edges()));
-  for (uint64_t word : OptionWords(opts)) AppendPod(blob, word);
-  AppendPod(blob, static_cast<uint32_t>(provider_name.size()));
-  blob.append(provider_name);
-  AppendDoubles(blob, prox.values);
-  AppendPod(blob, prox.min_positive);
-  AppendPod(blob, prox.max_value);
-  AppendDoubles(blob, prox.normalized);
-  AppendPod(blob, prox.normalized_min_positive);
-  AppendPod(blob, DigestBytes(blob.data(), blob.size()));
-
-  const std::string final_path =
-      dir + "/" + ProximityCacheFileName(graph, provider_name, opts);
-  // Durable atomic publish (write-temp + fsync file and directory + rename):
-  // concurrent loaders see either the old complete file or the new complete
-  // file, never a torn write — and a crash right after Save returns cannot
-  // resurface an empty or garbage file at the final path.
-  return WriteFileAtomic(final_path, blob.data(), blob.size(),
-                         "proxcache.edge")
-      .ok();
-}
-
-std::optional<EdgeProximity> LoadEdgeProximityCache(
-    const std::string& dir, const Graph& graph,
-    const std::string& provider_name, const ProximityOptions& opts) {
-  if (dir.empty()) return std::nullopt;
-  const std::string path =
-      dir + "/" + ProximityCacheFileName(graph, provider_name, opts);
-  std::string blob;
-  if (!ReadFileToString(path, &blob, "proxcache.edge").ok())
-    return std::nullopt;
-
-  // Whole-file checksum first: truncated, appended-to, or bit-flipped files
-  // all fail here before any field is trusted.
-  if (blob.size() < sizeof(uint64_t)) return std::nullopt;
-  const size_t payload_len = blob.size() - sizeof(uint64_t);
-  uint64_t stored_digest = 0;
-  std::memcpy(&stored_digest, blob.data() + payload_len, sizeof(uint64_t));
-  if (DigestBytes(blob.data(), payload_len) != stored_digest)
-    return std::nullopt;
-
-  ByteReader reader(blob.data(), payload_len);
-  uint32_t magic = 0, version = 0, name_len = 0;
-  uint64_t fingerprint = 0, num_nodes = 0, num_edges = 0;
-  std::string name;
-  if (!reader.Read(&magic) || magic != kCacheMagic) return std::nullopt;
-  if (!reader.Read(&version) || version != kCacheVersion) return std::nullopt;
-  if (!reader.Read(&fingerprint) || fingerprint != graph.Fingerprint())
-    return std::nullopt;
-  if (!reader.Read(&num_nodes) || num_nodes != graph.num_nodes())
-    return std::nullopt;
-  if (!reader.Read(&num_edges) || num_edges != graph.num_edges())
-    return std::nullopt;
-  // The full option vector is compared field by field — a key-hash collision
-  // in the file name can only cause a spurious miss, never a wrong hit.
-  for (uint64_t expected : OptionWords(opts)) {
-    uint64_t stored = 0;
-    if (!reader.Read(&stored) || stored != expected) return std::nullopt;
-  }
-  if (!reader.Read(&name_len) || !reader.ReadString(name_len, &name) ||
-      name != provider_name) {
-    return std::nullopt;
-  }
-
-  EdgeProximity out;
-  if (!reader.ReadDoubles(static_cast<size_t>(num_edges), &out.values) ||
-      !reader.Read(&out.min_positive) || !reader.Read(&out.max_value) ||
-      !reader.ReadDoubles(static_cast<size_t>(num_edges), &out.normalized) ||
-      !reader.Read(&out.normalized_min_positive) || !reader.AtEnd()) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    ThreadPool& pool,
-                                    const std::string& cache_dir) {
-  if (!cache_dir.empty()) {
-    if (auto cached =
-            LoadEdgeProximityCache(cache_dir, graph, provider.Name(), opts)) {
-      return std::move(*cached);
-    }
-  }
-  EdgeProximity prox = ParallelEdgeProximities(graph, provider, pool);
-  if (!cache_dir.empty() && graph.num_edges() > 0) {
-    SaveEdgeProximityCache(cache_dir, graph, provider.Name(), opts, prox);
-  }
-  return prox;
-}
-
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    size_t num_threads,
-                                    const std::string& cache_dir) {
-  if (!cache_dir.empty()) {
-    if (auto cached =
-            LoadEdgeProximityCache(cache_dir, graph, provider.Name(), opts)) {
-      return std::move(*cached);
-    }
-  }
-  // The pool is constructed only on a miss — a warm hit spins up (and joins)
-  // no worker threads at all — then the pool overload owns the shared
-  // compute-and-save path (its redundant re-probe is one failed open).
-  ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
-  return CachedEdgeProximities(graph, provider, opts, pool, cache_dir);
-}
-
-std::string ProximityCacheDirFromEnv() {
-  return GetStringEnv("SEPRIV_PROXIMITY_CACHE");
-}
-
-// ---------------------------------------------------------------------------
-// Shard-granular proximity passes
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr uint32_t kShardCacheMagic = 0x53505853;  // "SPXS"
-constexpr uint32_t kShardCacheVersion = 1;
-
-/// One shard's canonical edges materialised for the parallel passes:
-/// edge-level memory for ONE shard only, the bound the out-of-core layer is
-/// built around.
-std::vector<Edge> ShardEdgeList(const ShardView& view) {
-  std::vector<Edge> edges;
-  edges.reserve(view.edge_count);
-  view.ForEachEdge([&edges](size_t, NodeId u, NodeId v) {
-    edges.push_back({u, v});
-  });
-  return edges;
-}
-
 std::string ShardCacheFilePath(const std::string& cache_root,
                                uint64_t graph_fingerprint, size_t shard_index,
                                uint64_t shard_fingerprint,
@@ -445,43 +257,24 @@ ShardProximity ComputeShardProximities(const ShardView& view,
   out.backward.resize(m);
   if (m == 0) return out;
 
+  const std::vector<size_t> by_v = OrderByTarget(edges);
+
+  // Over-decompose (4 chunks per worker) so a chunk that hits expensive hub
+  // rows doesn't straggle the pass; clones stay bounded by the thread count.
   const size_t threads = pool.num_threads();
-  if (threads <= 1 || m < 2) {
-    // Serial path, identical visit discipline to ComputeEdgeProximities:
-    // forward grouped by u (the natural order), backward grouped by v.
-    for (size_t e = 0; e < m; ++e)
-      out.forward[e] = provider.At(edges[e].u, edges[e].v);
-    std::vector<size_t> by_v(m);
-    for (size_t e = 0; e < m; ++e) by_v[e] = e;
-    std::sort(by_v.begin(), by_v.end(), [&edges](size_t a, size_t b) {
-      return edges[a].v != edges[b].v ? edges[a].v < edges[b].v
-                                      : edges[a].u < edges[b].u;
-    });
-    for (size_t idx : by_v)
-      out.backward[idx] = provider.At(edges[idx].v, edges[idx].u);
-    return out;
-  }
-
-  std::vector<size_t> by_v(m);
-  for (size_t e = 0; e < m; ++e) by_v[e] = e;
-  std::sort(by_v.begin(), by_v.end(), [&edges](size_t a, size_t b) {
-    return edges[a].v != edges[b].v ? edges[a].v < edges[b].v
-                                    : edges[a].u < edges[b].u;
-  });
-
-  const size_t target_shards = threads * 4;
+  const size_t target_chunks = threads * 4;
   ClonePool clones(provider, threads);
 
-  const auto fwd_shards = AlignedShards(
-      m, target_shards, [&edges](size_t e) { return edges[e].u; });
-  RunPass(fwd_shards, clones, pool,
+  const auto fwd_chunks = AlignedChunks(
+      m, target_chunks, [&edges](size_t e) { return edges[e].u; });
+  RunPass(fwd_chunks, clones, pool,
           [&](const ProximityProvider& p, size_t i) {
             out.forward[i] = p.At(edges[i].u, edges[i].v);
           });
 
-  const auto bwd_shards = AlignedShards(
-      m, target_shards, [&](size_t e) { return edges[by_v[e]].v; });
-  RunPass(bwd_shards, clones, pool,
+  const auto bwd_chunks = AlignedChunks(
+      m, target_chunks, [&](size_t e) { return edges[by_v[e]].v; });
+  RunPass(bwd_chunks, clones, pool,
           [&](const ProximityProvider& p, size_t i) {
             const size_t idx = by_v[i];
             out.backward[idx] = p.At(edges[idx].v, edges[idx].u);
@@ -532,7 +325,10 @@ bool SaveShardProximityCache(const std::string& cache_root,
   AppendDoubles(blob, prox.backward);
   AppendPod(blob, DigestBytes(blob.data(), blob.size()));
 
-  // Same durable publish discipline as the whole-graph cache writer.
+  // Durable atomic publish (write-temp + fsync file and directory + rename):
+  // concurrent loaders see either the old complete file or the new complete
+  // file, never a torn write — and a crash right after Save returns cannot
+  // resurface an empty or garbage file at the final path.
   return WriteFileAtomic(path, blob.data(), blob.size(), "proxcache.shard")
       .ok();
 }
@@ -550,6 +346,8 @@ std::optional<ShardProximity> LoadShardProximityCache(
   if (!ReadFileToString(path, &blob, "proxcache.shard").ok())
     return std::nullopt;
 
+  // Whole-file checksum first: truncated, appended-to, or bit-flipped files
+  // all fail here before any field is trusted.
   if (blob.size() < sizeof(uint64_t)) return std::nullopt;
   const size_t payload_len = blob.size() - sizeof(uint64_t);
   uint64_t stored_digest = 0;
@@ -597,16 +395,15 @@ ShardProximity CachedShardProximities(const ShardView& view,
                                       const ProximityOptions& opts,
                                       ThreadPool& pool,
                                       const std::string& cache_root) {
+  if (cache_root.empty()) return ComputeShardProximities(view, provider, pool);
   const uint64_t shard_fp = ShardFingerprint(view);
-  if (!cache_root.empty()) {
-    if (auto cached = LoadShardProximityCache(
-            cache_root, graph_fingerprint, shard_index, shard_fp,
-            provider.Name(), opts, view.edge_count)) {
-      return std::move(*cached);
-    }
+  if (auto cached = LoadShardProximityCache(
+          cache_root, graph_fingerprint, shard_index, shard_fp,
+          provider.Name(), opts, view.edge_count)) {
+    return std::move(*cached);
   }
   ShardProximity prox = ComputeShardProximities(view, provider, pool);
-  if (!cache_root.empty() && !prox.forward.empty()) {
+  if (!prox.forward.empty()) {
     SaveShardProximityCache(cache_root, graph_fingerprint, shard_index,
                             shard_fp, provider.Name(), opts, prox);
   }
@@ -635,6 +432,20 @@ EdgeProximity ShardedEdgeProximities(GraphStore& store,
               backward.begin() + static_cast<ptrdiff_t>(view.edge_begin));
   }
   return FinalizeEdgeProximities(forward, backward);
+}
+
+EdgeProximity CachedEdgeProximities(const Graph& graph,
+                                    const ProximityProvider& provider,
+                                    const ProximityOptions& opts,
+                                    size_t num_threads,
+                                    const std::string& cache_dir) {
+  InMemoryGraphStore store(graph);
+  ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
+  return ShardedEdgeProximities(store, provider, opts, pool, cache_dir);
+}
+
+std::string ProximityCacheDirFromEnv() {
+  return GetStringEnv("SEPRIV_PROXIMITY_CACHE");
 }
 
 }  // namespace sepriv

@@ -1,23 +1,26 @@
-// Parallel proximity precomputation + persistent edge-weight cache.
+// Parallel proximity precomputation + persistent per-shard cache.
 //
-// ComputeEdgeProximities (proximity.cc) walks every canonical edge twice
-// through a single-row-cached provider — two serial O(|E|) passes that
-// dominate trainer startup on large graphs now that the batch-gradient hot
-// path is parallel. This engine shards distinct SOURCE nodes across a
-// ThreadPool, giving each shard its own ProximityProvider::Clone() so the
-// per-shard row cache stays warm and no mutable state races. Because every
-// provider's At() is a pure function of (i, j) — the sampled DeepWalk
-// estimator derives its walks from a keyed per-source substream — the
-// parallel output is bit-identical to the serial engine for every thread
-// count, including the EdgeProximity min/max/normalized fields (the
-// reduction tail is the literal FinalizeEdgeProximities shared with the
-// serial path).
+// Every precompute of the per-edge preference table runs one pass,
+// ComputeShardProximities, over the shards of a GraphStore. The whole-graph
+// table is that pass over a one-shard InMemoryGraphStore
+// (CachedEdgeProximities); out-of-core training streams the same pass shard
+// by shard. Inside a shard, both direction passes (forward grouped by source
+// u, backward grouped by v) are split across a ThreadPool at source-node
+// granularity, and each chunk queries a private ProximityProvider::Clone(),
+// so a clone's row cache stays warm and no mutable state races. Because
+// every provider's At() is a pure function of (i, j) — the sampled DeepWalk
+// estimator derives its walks from a keyed per-source substream — the table
+// is bit-identical to the serial ComputeEdgeProximities for every thread
+// count and shard count, including the EdgeProximity min/max/normalized
+// fields (ProximityFinalizer is the reduction tail of both).
 //
 // The persistent cache amortises the precompute across repeated runs
-// (parameter sweeps, the bench/ family, restarted trainers): a versioned
-// binary file keyed by Graph::Fingerprint() + provider Name() + the full
-// ProximityOptions, with a whole-file checksum. Stale, truncated, corrupt,
-// or mismatched files are detected and recomputed — never trusted.
+// (parameter sweeps, the bench/ family, restarted trainers): one versioned
+// binary file per shard, in a directory keyed by the graph fingerprint +
+// provider Name() + the full ProximityOptions, with the shard fingerprint in
+// the file name and header and a whole-file checksum. Stale, truncated,
+// corrupt, or mismatched files are misses and are recomputed — never
+// trusted.
 
 #ifndef SEPRIVGEMB_PROXIMITY_PROXIMITY_ENGINE_H_
 #define SEPRIVGEMB_PROXIMITY_PROXIMITY_ENGINE_H_
@@ -34,77 +37,6 @@
 
 namespace sepriv {
 
-/// Evaluates the provider on every canonical edge using the pool's workers.
-/// Bit-identical to ComputeEdgeProximities for every thread count.
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      ThreadPool& pool);
-
-/// Convenience overload owning a transient pool. `num_threads` follows the
-/// SePrivGEmbConfig convention: 0 resolves to hardware concurrency.
-EdgeProximity ParallelEdgeProximities(const Graph& graph,
-                                      const ProximityProvider& provider,
-                                      size_t num_threads);
-
-/// 64-bit digest of every ProximityOptions field. Part of the cache key, so
-/// any option change — even one the current provider ignores — invalidates
-/// conservatively (a spurious recompute, never a wrong hit).
-uint64_t HashProximityOptions(const ProximityOptions& opts);
-
-/// File name (no directory) a cache entry lives under:
-/// "prox_<graph-fingerprint>_<key-hash>.bin". The provider name and options
-/// are folded into the key hash; the full key is also stored in the header
-/// and re-verified on load, so hash collisions cannot alias entries.
-std::string ProximityCacheFileName(const Graph& graph,
-                                   const std::string& provider_name,
-                                   const ProximityOptions& opts);
-
-/// Writes `prox` under `dir` (created if missing) via write-to-temp + atomic
-/// rename, so concurrent readers/writers of the same directory (e.g. ctest
-/// -j sharing one cache) see only complete files. Returns false on I/O
-/// failure — callers treat the cache as best-effort.
-bool SaveEdgeProximityCache(const std::string& dir, const Graph& graph,
-                            const std::string& provider_name,
-                            const ProximityOptions& opts,
-                            const EdgeProximity& prox);
-
-/// Loads the entry for (graph, provider_name, opts) from `dir`. Returns
-/// nullopt — never a partial or wrong result — when the file is missing,
-/// truncated, checksum-corrupt, from a different format version, or keyed to
-/// a different graph/provider/options.
-std::optional<EdgeProximity> LoadEdgeProximityCache(
-    const std::string& dir, const Graph& graph,
-    const std::string& provider_name, const ProximityOptions& opts);
-
-/// Cache-through front end: load from `cache_dir` when valid, else compute
-/// in parallel on `pool` and save. An empty `cache_dir` disables caching.
-/// The returned EdgeProximity is bit-identical whether it came from the
-/// cold (computed) or warm (loaded) path.
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    ThreadPool& pool,
-                                    const std::string& cache_dir);
-
-/// As above but with a lazily constructed pool: worker threads are spun up
-/// only when the cache misses and a compute is actually needed (warm trainer
-/// restarts and cached sweeps create no threads). `num_threads` follows the
-/// SePrivGEmbConfig convention: 0 resolves to hardware concurrency.
-EdgeProximity CachedEdgeProximities(const Graph& graph,
-                                    const ProximityProvider& provider,
-                                    const ProximityOptions& opts,
-                                    size_t num_threads,
-                                    const std::string& cache_dir);
-
-/// The SEPRIV_PROXIMITY_CACHE environment variable (empty when unset): the
-/// process-wide default cache directory used when no explicit path is
-/// configured, so test/bench sweeps opt in without code changes.
-std::string ProximityCacheDirFromEnv();
-
-// ---------------------------------------------------------------------------
-// Shard-granular proximity passes (the out-of-core pipeline)
-// ---------------------------------------------------------------------------
-
 /// Raw directional proximities of ONE shard's canonical edges, rebased to
 /// [0, edge_count): forward[k] = At(u, v), backward[k] = At(v, u). The
 /// global floor/scale reduction is deliberately absent — it needs every
@@ -114,10 +46,10 @@ struct ShardProximity {
   std::vector<double> backward;
 };
 
-/// Evaluates the provider on one shard's edges using the pool's workers
-/// (same shard-by-source-node decomposition as ParallelEdgeProximities).
-/// Per-edge values are bit-identical to the whole-graph passes: At() is pure
-/// in (i, j), and the visit set for this edge range is the same.
+/// Evaluates the provider on one shard's edges using the pool's workers; a
+/// one-thread pool runs the same passes inline on the calling thread.
+/// Per-edge values are bit-identical to ComputeEdgeProximities: At() is pure
+/// in (i, j), whichever clone and thread evaluates it.
 ShardProximity ComputeShardProximities(const ShardView& view,
                                        const ProximityProvider& provider,
                                        ThreadPool& pool);
@@ -133,7 +65,10 @@ std::string ShardProximityCacheDirName(uint64_t graph_fingerprint,
                                        const ProximityOptions& opts);
 
 /// Saves one shard's table under cache_root (subdirectory created on
-/// demand), write-to-temp + atomic rename. Returns false on I/O failure.
+/// demand) via write-to-temp + atomic rename, so concurrent readers and
+/// writers of one directory (e.g. ctest -j sharing a cache) see only
+/// complete files. Returns false on I/O failure — callers treat the cache
+/// as best-effort.
 bool SaveShardProximityCache(const std::string& cache_root,
                              uint64_t graph_fingerprint, size_t shard_index,
                              uint64_t shard_fingerprint,
@@ -151,7 +86,7 @@ std::optional<ShardProximity> LoadShardProximityCache(
     size_t edge_count);
 
 /// Cache-through per-shard pass: load when valid, else compute on `pool`
-/// and save. Empty cache_root disables caching.
+/// and save. Empty cache_root disables caching (and the shard hashing).
 ShardProximity CachedShardProximities(const ShardView& view,
                                       size_t shard_index,
                                       uint64_t graph_fingerprint,
@@ -163,15 +98,29 @@ ShardProximity CachedShardProximities(const ShardView& view,
 /// Whole-table front end over the sharded passes: iterates the store's
 /// shards SEQUENTIALLY (prefetching shard s+1 while computing shard s, so at
 /// most two shards are resident), then runs the shared finalisation.
-/// Bit-identical to ComputeEdgeProximities / ParallelEdgeProximities on the
-/// equivalent graph for every shard count, thread count, and cache state.
-/// Note the returned table is O(|E|) — out-of-core consumers stream through
+/// Bit-identical to ComputeEdgeProximities on the equivalent graph for
+/// every shard count, thread count, and cache state. Note the returned
+/// table is O(|E|) — out-of-core consumers stream through
 /// CachedShardProximities + ProximityFinalizer instead.
 EdgeProximity ShardedEdgeProximities(GraphStore& store,
                                      const ProximityProvider& provider,
                                      const ProximityOptions& opts,
                                      ThreadPool& pool,
                                      const std::string& cache_root);
+
+/// ShardedEdgeProximities over a one-shard InMemoryGraphStore of `graph`,
+/// on a pool of `num_threads` workers (0 resolves to hardware concurrency,
+/// the SePrivGEmbConfig convention). An empty `cache_dir` disables caching.
+EdgeProximity CachedEdgeProximities(const Graph& graph,
+                                    const ProximityProvider& provider,
+                                    const ProximityOptions& opts,
+                                    size_t num_threads,
+                                    const std::string& cache_dir);
+
+/// The SEPRIV_PROXIMITY_CACHE environment variable (empty when unset): the
+/// process-wide default cache directory used when no explicit path is
+/// configured, so test/bench sweeps opt in without code changes.
+std::string ProximityCacheDirFromEnv();
 
 }  // namespace sepriv
 

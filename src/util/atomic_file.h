@@ -31,15 +31,16 @@ namespace sepriv {
 /// the helper evaluates `<base>.write` (before/during the temp write),
 /// `<base>.sync` (between write and rename) and `<base>.rename` (after
 /// rename, before the directory fsync). Pass a stable literal like
-/// "checkpoint" or "proxcache.save", or nullptr to opt out of injection.
+/// "checkpoint" or "proxcache.shard", or nullptr to opt out of injection.
 Status WriteFileAtomic(const std::string& path, const void* data, size_t size,
                        const char* failpoint_base = nullptr);
 
 /// Reads all of `path` into `out`. Distinguishes a missing file
 /// (kNotFound) from a read failure (kIoError). Evaluates the
-/// `<failpoint_base>.read` failpoint when `failpoint_base` is non-null
-/// (kTorn ⇒ the returned bytes are deterministically corrupted, modelling
-/// on-disk rot that the caller's checksum must catch).
+/// `<failpoint_base>.read` failpoint (e.g. `proxcache.shard.read`) when
+/// `failpoint_base` is non-null (kTorn ⇒ the returned bytes are
+/// deterministically corrupted, modelling on-disk rot that the caller's
+/// checksum must catch).
 Status ReadFileToString(const std::string& path, std::string* out,
                         const char* failpoint_base = nullptr);
 

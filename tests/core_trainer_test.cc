@@ -390,6 +390,18 @@ TEST(TrainerTest, ProximityCachePathColdAndWarmBitIdentical) {
   cfg.proximity_cache_path = dir;
   SePrivGEmb cold(g, ProximityKind::kKatz, cfg);
   const TrainResult cold_r = cold.Train();
+  // The cold trainer wrote one file, in the per-shard format
+  // (proxshard_*/shard_0_*.bin) and not as a whole-graph prox_*.bin.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].parent_path().filename().string().rfind("proxshard_", 0),
+            0u);
+  EXPECT_EQ(files[0].filename().string().rfind("shard_0_", 0), 0u);
+  EXPECT_EQ(files[0].extension(), ".bin");
   SePrivGEmb warm(g, ProximityKind::kKatz, cfg);
   const TrainResult warm_r = warm.Train();
 

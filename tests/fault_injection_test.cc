@@ -288,14 +288,19 @@ TEST_F(FaultInjectionTest, TornProximityCacheFallsBackToRecompute) {
                                       opts);
   const std::string dir = root_ + "/proxcache";
   const EdgeProximity computed =
-      ParallelEdgeProximities(g, *provider, /*num_threads=*/1);
-  ASSERT_TRUE(
-      SaveEdgeProximityCache(dir, g, provider->Name(), opts, computed));
+      CachedEdgeProximities(g, *provider, opts, /*num_threads=*/1, dir);
+  const InMemoryGraphStore store(g);
+  const auto entry_loads = [&] {
+    return LoadShardProximityCache(dir, g.Fingerprint(), 0,
+                                   store.manifest().shards[0].fingerprint,
+                                   provider->Name(), opts, g.num_edges())
+        .has_value();
+  };
+  ASSERT_TRUE(entry_loads());
 
   // A rotted cache file is a miss, never wrong values...
-  ASSERT_TRUE(failpoint::SetSpec("proxcache.edge.read=torn"));
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  ASSERT_TRUE(failpoint::SetSpec("proxcache.shard.read=torn"));
+  EXPECT_FALSE(entry_loads());
 
   // ...and the cache-through front end transparently recomputes: the result
   // is bit-identical to the cold path even while the cache is unreadable.
@@ -307,8 +312,7 @@ TEST_F(FaultInjectionTest, TornProximityCacheFallsBackToRecompute) {
   }
 
   failpoint::ClearAll();
-  EXPECT_TRUE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_TRUE(entry_loads());
 }
 
 // --- End to end: training degrades to a structured error --------------------

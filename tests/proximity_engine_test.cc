@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -38,6 +40,15 @@ void ExpectBitIdentical(const EdgeProximity& a, const EdgeProximity& b) {
   EXPECT_EQ(a.normalized_min_positive, b.normalized_min_positive);
 }
 
+void ExpectBitIdentical(const ShardProximity& a, const ShardProximity& b) {
+  ASSERT_EQ(a.forward.size(), b.forward.size());
+  ASSERT_EQ(a.backward.size(), b.backward.size());
+  for (size_t k = 0; k < a.forward.size(); ++k) {
+    EXPECT_EQ(a.forward[k], b.forward[k]) << "forward[" << k << "]";
+    EXPECT_EQ(a.backward[k], b.backward[k]) << "backward[" << k << "]";
+  }
+}
+
 class ProximityEngineTest : public ::testing::Test {
  protected:
   std::string TempDirFor(const std::string& name) {
@@ -47,10 +58,45 @@ class ProximityEngineTest : public ::testing::Test {
     return dir;
   }
 
-  std::string CachePathFor(const std::string& dir, const Graph& g,
-                           const ProximityProvider& p,
-                           const ProximityOptions& opts) {
-    return dir + "/" + ProximityCacheFileName(g, p.Name(), opts);
+  /// Path of shard `s`'s cache file, resolved by directory listing (the
+  /// name embeds the shard fingerprint); empty when there is none.
+  static std::string ShardCacheFile(const std::string& cache_root,
+                                    const Graph& g,
+                                    const ProximityProvider& p,
+                                    const ProximityOptions& opts, size_t s) {
+    const std::string dir =
+        cache_root + "/" +
+        ShardProximityCacheDirName(g.Fingerprint(), p.Name(), opts);
+    const std::string prefix = "shard_" + std::to_string(s) + "_";
+    std::error_code ec;
+    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+        return entry.path().string();
+      }
+    }
+    return "";
+  }
+
+  /// Loads the one-shard entry that CachedEdgeProximities keeps for
+  /// (g, provider name, opts) under `dir`.
+  static std::optional<ShardProximity> LoadEntry(
+      const std::string& dir, const Graph& g, const std::string& name,
+      const ProximityOptions& opts) {
+    const InMemoryGraphStore store(g);
+    return LoadShardProximityCache(dir, g.Fingerprint(), 0,
+                                   store.manifest().shards[0].fingerprint,
+                                   name, opts, g.num_edges());
+  }
+
+  /// The damaged entry under `dir` is a miss, and the cache-through front
+  /// end silently recomputes `expected` and repairs the file.
+  static void ExpectMissAndRepair(const std::string& dir, const Graph& g,
+                                  const ProximityProvider& p,
+                                  const ProximityOptions& opts,
+                                  const EdgeProximity& expected) {
+    EXPECT_FALSE(LoadEntry(dir, g, p.Name(), opts).has_value());
+    ExpectBitIdentical(expected, CachedEdgeProximities(g, p, opts, 2, dir));
+    EXPECT_TRUE(LoadEntry(dir, g, p.Name(), opts).has_value());
   }
 };
 
@@ -64,9 +110,9 @@ TEST_P(AllKindsEngineTest, BitIdenticalAcrossThreadCounts) {
   const auto provider = MakeProximity(GetParam(), g, opts);
   const EdgeProximity serial = ComputeEdgeProximities(g, *provider);
   for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
-    ThreadPool pool(threads);
-    const EdgeProximity parallel = ParallelEdgeProximities(g, *provider, pool);
-    ExpectBitIdentical(serial, parallel);
+    ExpectBitIdentical(serial,
+                       CachedEdgeProximities(g, *provider, opts, threads,
+                                             /*cache_dir=*/""));
   }
 }
 
@@ -89,18 +135,11 @@ INSTANTIATE_TEST_SUITE_P(
     Kinds, AllKindsEngineTest, ::testing::ValuesIn(AllProximityKinds()),
     [](const auto& info) { return ProximityKindName(info.param); });
 
-TEST_F(ProximityEngineTest, ConvenienceOverloadMatchesPoolOverload) {
-  const Graph g = BarabasiAlbert(300, 3, 5);
-  const auto provider = MakeProximity(ProximityKind::kKatz, g, TestOptions());
-  const EdgeProximity serial = ComputeEdgeProximities(g, *provider);
-  ExpectBitIdentical(serial, ParallelEdgeProximities(g, *provider, size_t{3}));
-}
-
 TEST_F(ProximityEngineTest, EmptyGraphProducesEmptyTable) {
   const Graph g = Graph::FromEdges(4, {});
   const auto provider = MakeProximity(ProximityKind::kCommonNeighbors, g);
-  ThreadPool pool(2);
-  const EdgeProximity ep = ParallelEdgeProximities(g, *provider, pool);
+  const EdgeProximity ep =
+      CachedEdgeProximities(g, *provider, {}, /*num_threads=*/2, "");
   EXPECT_TRUE(ep.values.empty());
   EXPECT_TRUE(ep.normalized.empty());
 }
@@ -120,19 +159,22 @@ TEST_F(ProximityEngineTest, FingerprintStableAndStructureSensitive) {
   EXPECT_NE(d.Fingerprint(), e.Fingerprint());
 }
 
-// --- cache round trip -------------------------------------------------------
+// --- the whole-graph entry: one shard of the per-shard cache ----------------
 
 TEST_F(ProximityEngineTest, CacheRoundTripIsBitIdentical) {
+  // The front end keeps one shard entry for the whole graph, holding exactly
+  // the one-shard store's directional passes.
   const std::string dir = TempDirFor("roundtrip");
   const Graph g = ErdosRenyiGnm(100, 260, 9);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kAdamicAdar, g, opts);
-  const EdgeProximity computed = ComputeEdgeProximities(g, *provider);
+  CachedEdgeProximities(g, *provider, opts, /*num_threads=*/2, dir);
 
-  ASSERT_TRUE(
-      SaveEdgeProximityCache(dir, g, provider->Name(), opts, computed));
-  const auto loaded =
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts);
+  InMemoryGraphStore store(g);
+  ThreadPool pool(2);
+  const ShardProximity computed =
+      ComputeShardProximities(store.Pin(0).view(), *provider, pool);
+  const auto loaded = LoadEntry(dir, g, provider->Name(), opts);
   ASSERT_TRUE(loaded.has_value());
   ExpectBitIdentical(computed, *loaded);
 }
@@ -143,13 +185,10 @@ TEST_F(ProximityEngineTest, CachedFrontEndColdThenWarmBitIdentical) {
   const ProximityOptions opts = TestOptions();
   const auto provider =
       MakeProximity(ProximityKind::kPersonalizedPageRank, g, opts);
-  ThreadPool pool(4);
 
-  const EdgeProximity cold =
-      CachedEdgeProximities(g, *provider, opts, pool, dir);
-  ASSERT_TRUE(std::filesystem::exists(CachePathFor(dir, g, *provider, opts)));
-  const EdgeProximity warm =
-      CachedEdgeProximities(g, *provider, opts, pool, dir);
+  const EdgeProximity cold = CachedEdgeProximities(g, *provider, opts, 4, dir);
+  ASSERT_FALSE(ShardCacheFile(dir, g, *provider, opts, 0).empty());
+  const EdgeProximity warm = CachedEdgeProximities(g, *provider, opts, 4, dir);
   ExpectBitIdentical(cold, warm);
   // And both match the serial reference engine.
   ExpectBitIdentical(cold, ComputeEdgeProximities(g, *provider));
@@ -158,9 +197,8 @@ TEST_F(ProximityEngineTest, CachedFrontEndColdThenWarmBitIdentical) {
 TEST_F(ProximityEngineTest, EmptyCacheDirDisablesCaching) {
   const Graph g = ErdosRenyiGnm(50, 120, 2);
   const auto provider = MakeProximity(ProximityKind::kJaccard, g);
-  ThreadPool pool(2);
-  const EdgeProximity ep =
-      CachedEdgeProximities(g, *provider, {}, pool, /*cache_dir=*/"");
+  const EdgeProximity ep = CachedEdgeProximities(g, *provider, {}, 2,
+                                                 /*cache_dir=*/"");
   EXPECT_EQ(ep.values.size(), g.num_edges());
 }
 
@@ -171,12 +209,11 @@ TEST_F(ProximityEngineTest, CacheMissesOnDifferentGraph) {
   const Graph g = ErdosRenyiGnm(90, 200, 21);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kKatz, g, opts);
-  ASSERT_TRUE(SaveEdgeProximityCache(dir, g, provider->Name(), opts,
-                                     ComputeEdgeProximities(g, *provider)));
+  CachedEdgeProximities(g, *provider, opts, 2, dir);
+  ASSERT_TRUE(LoadEntry(dir, g, provider->Name(), opts).has_value());
 
   const Graph other = ErdosRenyiGnm(90, 200, 22);
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, other, provider->Name(), opts).has_value());
+  EXPECT_FALSE(LoadEntry(dir, other, provider->Name(), opts).has_value());
 }
 
 TEST_F(ProximityEngineTest, CacheMissesOnDifferentProviderOrOptions) {
@@ -184,24 +221,19 @@ TEST_F(ProximityEngineTest, CacheMissesOnDifferentProviderOrOptions) {
   const Graph g = ErdosRenyiGnm(90, 200, 23);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kDeepWalk, g, opts);
-  ASSERT_TRUE(SaveEdgeProximityCache(dir, g, provider->Name(), opts,
-                                     ComputeEdgeProximities(g, *provider)));
+  CachedEdgeProximities(g, *provider, opts, 2, dir);
 
   // Different provider name.
-  EXPECT_FALSE(LoadEdgeProximityCache(dir, g, "other_provider", opts)
-                   .has_value());
+  EXPECT_FALSE(LoadEntry(dir, g, "other_provider", opts).has_value());
   // Any options change invalidates, even a field this provider ignores.
   ProximityOptions changed = opts;
   changed.katz_beta = 0.07;
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), changed).has_value());
+  EXPECT_FALSE(LoadEntry(dir, g, provider->Name(), changed).has_value());
   changed = opts;
   changed.seed += 1;
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), changed).has_value());
+  EXPECT_FALSE(LoadEntry(dir, g, provider->Name(), changed).has_value());
   // The original key still hits.
-  EXPECT_TRUE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  EXPECT_TRUE(LoadEntry(dir, g, provider->Name(), opts).has_value());
 }
 
 // --- corrupt / truncated cache recovery -------------------------------------
@@ -211,23 +243,13 @@ TEST_F(ProximityEngineTest, TruncatedCacheFileRejectedAndRecomputed) {
   const Graph g = ErdosRenyiGnm(80, 180, 31);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kResourceAllocation, g);
-  const EdgeProximity computed = ComputeEdgeProximities(g, *provider);
-  ASSERT_TRUE(
-      SaveEdgeProximityCache(dir, g, provider->Name(), opts, computed));
+  const EdgeProximity computed =
+      CachedEdgeProximities(g, *provider, opts, 2, dir);
 
-  const std::string path = CachePathFor(dir, g, *provider, opts);
-  const auto full_size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full_size / 2);
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
-
-  // The cache-through front end must silently recompute and repair the file.
-  ThreadPool pool(2);
-  const EdgeProximity recomputed =
-      CachedEdgeProximities(g, *provider, opts, pool, dir);
-  ExpectBitIdentical(computed, recomputed);
-  EXPECT_TRUE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  const std::string path = ShardCacheFile(dir, g, *provider, opts, 0);
+  ASSERT_FALSE(path.empty());
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  ExpectMissAndRepair(dir, g, *provider, opts, computed);
 }
 
 TEST_F(ProximityEngineTest, BitFlippedCacheFileRejected) {
@@ -235,10 +257,11 @@ TEST_F(ProximityEngineTest, BitFlippedCacheFileRejected) {
   const Graph g = ErdosRenyiGnm(80, 180, 33);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kCommonNeighbors, g);
-  ASSERT_TRUE(SaveEdgeProximityCache(dir, g, provider->Name(), opts,
-                                     ComputeEdgeProximities(g, *provider)));
+  const EdgeProximity computed =
+      CachedEdgeProximities(g, *provider, opts, 2, dir);
 
-  const std::string path = CachePathFor(dir, g, *provider, opts);
+  const std::string path = ShardCacheFile(dir, g, *provider, opts, 0);
+  ASSERT_FALSE(path.empty());
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.is_open());
   f.seekp(static_cast<std::streamoff>(std::filesystem::file_size(path) / 2));
@@ -248,9 +271,7 @@ TEST_F(ProximityEngineTest, BitFlippedCacheFileRejected) {
   byte = static_cast<char>(byte ^ 0x40);
   f.write(&byte, 1);
   f.close();
-
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
+  ExpectMissAndRepair(dir, g, *provider, opts, computed);
 }
 
 TEST_F(ProximityEngineTest, GarbageFileRejected) {
@@ -258,80 +279,107 @@ TEST_F(ProximityEngineTest, GarbageFileRejected) {
   const Graph g = ErdosRenyiGnm(40, 90, 35);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(ProximityKind::kJaccard, g);
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream out(CachePathFor(dir, g, *provider, opts),
-                      std::ios::binary);
-    out << "this is not a proximity cache";
+  const EdgeProximity computed =
+      CachedEdgeProximities(g, *provider, opts, 2, dir);
+  const std::string path = ShardCacheFile(dir, g, *provider, opts, 0);
+  ASSERT_FALSE(path.empty());
+
+  // A garbage file and a zero-byte file are each a miss.
+  for (const std::string bytes : {"this is not a proximity cache", ""}) {
+    SCOPED_TRACE(std::to_string(bytes.size()) + "-byte file");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    ExpectMissAndRepair(dir, g, *provider, opts, computed);
   }
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
-  {
-    std::ofstream out(CachePathFor(dir, g, *provider, opts),
-                      std::ios::binary);  // zero-byte file
-  }
-  EXPECT_FALSE(
-      LoadEdgeProximityCache(dir, g, provider->Name(), opts).has_value());
 }
 
 // --- shard-granular passes (the out-of-core pipeline) ------------------------
 
 /// Wraps a provider and counts At() calls across all clones, so tests can
-/// assert exactly how much proximity work a cache state caused.
+/// assert exactly how much proximity work a cache state caused. With
+/// `row_switches`, it also counts the calls whose row (first argument)
+/// differs from the same clone's previous call: the rows that clone's
+/// single-row cache has to compute.
 class CountingProvider final : public ProximityProvider {
  public:
   CountingProvider(std::unique_ptr<ProximityProvider> inner,
-                   std::shared_ptr<std::atomic<uint64_t>> calls)
-      : inner_(std::move(inner)), calls_(std::move(calls)) {}
+                   std::shared_ptr<std::atomic<uint64_t>> calls,
+                   std::shared_ptr<std::atomic<uint64_t>> row_switches = {})
+      : inner_(std::move(inner)),
+        calls_(std::move(calls)),
+        row_switches_(std::move(row_switches)) {}
 
   std::string Name() const override { return inner_->Name(); }
   double At(NodeId i, NodeId j) const override {
     calls_->fetch_add(1, std::memory_order_relaxed);
+    if (row_switches_ != nullptr && last_row_ != i) {
+      row_switches_->fetch_add(1, std::memory_order_relaxed);
+      last_row_ = i;
+    }
     return inner_->At(i, j);
   }
   std::unique_ptr<ProximityProvider> Clone() const override {
-    return std::make_unique<CountingProvider>(inner_->Clone(), calls_);
+    return std::make_unique<CountingProvider>(inner_->Clone(), calls_,
+                                              row_switches_);
   }
 
  private:
   std::unique_ptr<ProximityProvider> inner_;
   std::shared_ptr<std::atomic<uint64_t>> calls_;
+  std::shared_ptr<std::atomic<uint64_t>> row_switches_;
+  mutable std::optional<NodeId> last_row_;
 };
+
+TEST_F(ProximityEngineTest, ShardPassComputesEachRowOncePerPass) {
+  // Both passes visit their edges grouped by row — forward by u, backward by
+  // v — and no chunk boundary splits a group, so across all clones a row is
+  // computed once per pass. An ungrouped backward order would recompute a
+  // hub's row for every run of its edges.
+  const Graph g = BarabasiAlbert(400, 3, 7);
+  std::set<NodeId> sources, targets;
+  for (const Edge& e : g.Edges()) {
+    sources.insert(e.u);
+    targets.insert(e.v);
+  }
+  auto switches = std::make_shared<std::atomic<uint64_t>>(0);
+  const CountingProvider provider(
+      MakeProximity(ProximityKind::kCommonNeighbors, g),
+      std::make_shared<std::atomic<uint64_t>>(0), switches);
+  for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
+    switches->store(0);
+    CachedEdgeProximities(g, provider, {}, threads, /*cache_dir=*/"");
+    EXPECT_LE(switches->load(), sources.size() + targets.size())
+        << threads << " threads";
+  }
+}
 
 TEST_P(AllKindsEngineTest, ShardedEngineMatchesSerialForEveryShardCount) {
   const Graph g = ErdosRenyiGnm(120, 320, 13);
   const ProximityOptions opts = TestOptions();
   const auto provider = MakeProximity(GetParam(), g, opts);
   const EdgeProximity serial = ComputeEdgeProximities(g, *provider);
-  ThreadPool pool(2);
-  for (size_t shards : {1UL, 4UL, 9UL}) {
-    InMemoryGraphStore store(g, shards);
-    ExpectBitIdentical(
-        serial, ShardedEdgeProximities(store, *provider, opts, pool,
-                                       /*cache_root=*/""));
+  for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
+    ThreadPool pool(threads);
+    for (size_t shards : {1UL, 4UL, 9UL}) {
+      InMemoryGraphStore store(g, shards);
+      const std::string cache_root = TestTmpDir() + "/t" +
+                                     std::to_string(threads) + "_s" +
+                                     std::to_string(shards);
+      // Uncached, then cold (computes and saves), then warm (loads).
+      for (const std::string& root : {std::string(), cache_root, cache_root}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                     std::to_string(shards) + " shards, cache '" + root +
+                     "'");
+        ExpectBitIdentical(
+            serial, ShardedEdgeProximities(store, *provider, opts, pool, root));
+      }
+    }
   }
 }
 
-class ShardCacheTest : public ProximityEngineTest {
- protected:
-  /// Path of shard `s`'s cache file, resolved by directory listing (the
-  /// name embeds the shard fingerprint).
-  static std::string ShardCacheFile(const std::string& cache_root,
-                                    const Graph& g,
-                                    const ProximityProvider& p,
-                                    const ProximityOptions& opts, size_t s) {
-    const std::string dir =
-        cache_root + "/" +
-        ShardProximityCacheDirName(g.Fingerprint(), p.Name(), opts);
-    const std::string prefix = "shard_" + std::to_string(s) + "_";
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
-        return entry.path().string();
-      }
-    }
-    return "";
-  }
-};
+class ShardCacheTest : public ProximityEngineTest {};
 
 TEST_F(ShardCacheTest, ColdThenWarmBitIdenticalAndWarmComputesNothing) {
   const std::string cache_root = TempDirFor("shard_warm");
@@ -423,10 +471,7 @@ TEST_F(ShardCacheTest, ShardCacheRoundTripAndKeyMismatchesMiss) {
       cache_root, g.Fingerprint(), 1, shard_fp, provider->Name(), opts,
       pin->edge_count);
   ASSERT_TRUE(loaded.has_value());
-  for (size_t k = 0; k < computed.forward.size(); ++k) {
-    EXPECT_EQ(loaded->forward[k], computed.forward[k]);
-    EXPECT_EQ(loaded->backward[k], computed.backward[k]);
-  }
+  ExpectBitIdentical(computed, *loaded);
 
   // Any key component off by one bit is a miss, never stale data: shard
   // index, shard fingerprint, graph fingerprint, provider, edge count.
