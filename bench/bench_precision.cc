@@ -18,6 +18,9 @@
 //      differs), so this is a drift report, not an equality witness. The
 //      int8 codec's decode error is also reported against its analytic
 //      bound, max|row| / 254 per element.
+//   4. COST — Train() at paper defaults on BA(10^5, 5), d = 128, in both
+//      modes: seconds and the W_in/W_out digest. kFloat32 rounds only the
+//      rows an epoch wrote, so it should cost about what kFloat64 does.
 //
 // Environment knobs:
 //   SEPRIV_BENCH_PREC_ROWS    table rows for the RSS witness (default 100000)
@@ -181,6 +184,30 @@ int main(int argc, char** argv) {
                                {"final_loss", loss32},
                                {"weight_maxabs_drift", weight_drift},
                                {"final_loss_rel_delta", loss_delta}});
+
+  // Paper defaults at |V| = 10^5: the cost of the float32 mode. Train()
+  // alone is timed; the constructor is the proximity precompute.
+  const Graph big = BarabasiAlbert(100000, 5, /*seed=*/1);
+  for (const EmbeddingStorage storage :
+       {EmbeddingStorage::kFloat64, EmbeddingStorage::kFloat32}) {
+    SePrivGEmbConfig paper;
+    paper.embedding_storage = storage;
+    paper.proximity_cache_path = "-";
+    SePrivGEmb trainer(big, ProximityKind::kPreferentialAttachment, paper);
+    WallTimer timer;
+    const TrainResult r = trainer.Train();
+    const double secs = timer.ElapsedSeconds();
+    const uint64_t digest =
+        HashMix(MatrixDigest(r.model.w_in), MatrixDigest(r.model.w_out));
+    const bool f32 = storage == EmbeddingStorage::kFloat32;
+    std::printf("# train BA 1e5 %s: %.2fs, digest %016" PRIx64 "\n",
+                f32 ? "f32" : "f64", secs, digest);
+    json.AddRecord(f32 ? "train/f32_ba1e5" : "train/f64_ba1e5",
+                   {{"secs", secs},
+                    {"digest_hi", static_cast<double>(digest >> 32)},
+                    {"digest_lo",
+                     static_cast<double>(digest & 0xffffffffULL)}});
+  }
 
   // Checkpoint bytes: the same f32-mode state saved as a v2 float payload
   // vs forced back to a double payload.

@@ -37,9 +37,8 @@ size_t NumBlocks(size_t n) {
 
 BatchGradientEngine::BatchGradientEngine(
     const BatchGradientEngineOptions& opts,
-    std::span<const double> edge_weights)
+    std::span<const double> /*edge_weights*/)
     : opts_(opts),
-      edge_weights_(edge_weights),
       pool_(std::max<size_t>(1, opts.num_threads)),
       grad_in_(opts.num_nodes, opts.dim),
       grad_out_(opts.num_nodes, opts.dim) {
@@ -61,23 +60,6 @@ void BatchGradientEngine::ResolveWeights(double pij, double& w_pos,
       w_pos = w_neg = 1.0;
       break;
   }
-}
-
-double BatchGradientEngine::AccumulateBatch(const SkipGramModel& model,
-                                            std::span<const Subgraph> subgraphs,
-                                            std::span<const uint32_t> batch) {
-  InMemorySampleSource source(subgraphs, edge_weights_);
-  return AccumulateBatch(model, source, batch);
-}
-
-double BatchGradientEngine::AccumulateBatch(const SkipGramModel& model,
-                                            SampleSource& source,
-                                            std::span<const uint32_t> batch) {
-  double loss = 0.0;
-  const Status status = TryAccumulateBatch(model, source, batch, &loss);
-  SEPRIV_CHECK(status.ok(), "batch accumulation failed: %s",
-               status.ToString().c_str());
-  return loss;
 }
 
 Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
@@ -283,14 +265,17 @@ void BatchGradientEngine::PerturbNaiveIntoModel(SkipGramModel& model,
 void BatchGradientEngine::ApplyUpdate(SkipGramModel& model,
                                       double learning_rate) {
   const size_t dim = opts_.dim;
+  const bool round_f32 = opts_.storage == EmbeddingStorage::kFloat32;
   // Gather-axpy: slot s of the slab updates model row touched()[s].
   const auto apply = [&](const SparseRowGrad& grads, Matrix& weights) {
     const std::vector<uint32_t>& rows = grads.touched();
     pool_.ParallelFor(rows.size(), kApplyGrain, [&](size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) {
+        const std::span<double> row = weights.Row(rows[s]);
         kernels::Axpy(-learning_rate,
                       grads.SlotRow(static_cast<uint32_t>(s)).data(),
-                      weights.Row(rows[s]).data(), dim);
+                      row.data(), dim);
+        if (round_f32) RoundToFloat32(row);
       }
     });
   };

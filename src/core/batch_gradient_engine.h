@@ -34,12 +34,12 @@
 // reduction ownership, per-block noise ranges) and synchronises only
 // through ThreadPool::ParallelFor's fork/join barrier, whose internal
 // discipline is machine-checked via the annotated Mutex (util/mutex.h,
-// -Wthread-safety under clang). An AccumulateBatch/Perturb*/ApplyUpdate
+// -Wthread-safety under clang). A TryAccumulateBatch/Perturb*/ApplyUpdate
 // call is NOT reentrant: one engine serves one training loop.
 //
 // Samples reach the engine through the SampleSource interface so the batch
-// can live anywhere: the classic in-memory Subgraph vector, or a disk-backed
-// store paged through the buffer pool (out-of-core training). A sharded
+// can live anywhere: the resident SubgraphTable, or a disk-backed store
+// paged through the buffer pool (out-of-core training). A sharded
 // source is gathered in shard-sorted order within each batch, pinning one
 // shard at a time — a group is a few samples when a batch spreads over many
 // small pages, so the gather copies small groups inline and leaves the
@@ -80,6 +80,11 @@ struct BatchGradientEngineOptions {
   /// Worker count, already resolved (>= 1). 1 runs everything inline on the
   /// calling thread.
   size_t num_threads = 1;
+
+  /// The model's storage mode (SePrivGEmbConfig::embedding_storage). Under
+  /// kFloat32, ApplyUpdate rounds each row it writes to float32, so a model
+  /// that starts float32-exact stays so without a whole-matrix pass.
+  EmbeddingStorage storage = EmbeddingStorage::kFloat64;
 };
 
 /// One training sample as the gradient phase consumes it: the (center,
@@ -94,8 +99,8 @@ struct SEPRIV_SENSITIVE_SOURCE SampleView {
   std::span<const NodeId> negatives;
 };
 
-/// Where a batch's samples come from. Implementations: the in-memory
-/// Subgraph vector (single shard, Pin is a no-op) and the disk-backed
+/// Where a batch's samples come from. Implementations: the resident
+/// SubgraphTable (single shard, Pin is a no-op) and the disk-backed
 /// SampleStore (samples paged through a BufferPool).
 class SampleSource {
  public:
@@ -124,61 +129,49 @@ class SampleSource {
   virtual SampleView Get(uint32_t idx) const = 0;
 };
 
-/// The classic source: a resident Subgraph vector + p_ij table. Single
-/// shard; Get() is pure indexing.
+/// The resident source: GS as a SubgraphTable + the p_ij table, both
+/// indexed by edge. Single shard; Get() is index arithmetic into the
+/// table's row.
 class InMemorySampleSource final : public SampleSource {
  public:
-  /// `edge_weights` is indexed by Subgraph::edge_index; both spans must
-  /// outlive the source.
-  InMemorySampleSource(std::span<const Subgraph> subgraphs,
+  /// Row e of `table` is edge e's sample and `edge_weights[e]` its p_ij;
+  /// both must outlive the source.
+  InMemorySampleSource(const SubgraphTable& table,
                        std::span<const double> edge_weights)
-      : subgraphs_(subgraphs), edge_weights_(edge_weights) {}
+      : table_(table), edge_weights_(edge_weights) {}
 
-  size_t size() const override { return subgraphs_.size(); }
-  size_t NegativesCount(uint32_t idx) const override {
-    return subgraphs_[idx].negatives.size();
+  size_t size() const override { return table_.size(); }
+  size_t NegativesCount(uint32_t /*idx*/) const override {
+    return table_.negatives_per_row();
   }
   SampleView Get(uint32_t idx) const override {
-    const Subgraph& s = subgraphs_[idx];
-    return {s.center, s.context, edge_weights_[s.edge_index], s.negatives};
+    const SubgraphTable::Row r = table_[idx];
+    return {r.center, r.context, edge_weights_[idx], r.negatives};
   }
 
  private:
-  std::span<const Subgraph> subgraphs_;
+  const SubgraphTable& table_;
   std::span<const double> edge_weights_;
 };
 
 class BatchGradientEngine {
  public:
-  /// `edge_weights` are the per-edge preferences p_ij (indexed by
-  /// Subgraph::edge_index); the span must outlive the engine. Only the
-  /// Subgraph-span AccumulateBatch overload reads it — SampleSource batches
-  /// carry their weights in the SampleView — so a source-driven caller may
-  /// pass an empty span.
+  /// Samples carry their p_ij in the SampleView, so nothing reads
+  /// `edge_weights`; it stays for source compatibility and may be empty.
   BatchGradientEngine(const BatchGradientEngineOptions& opts,
                       std::span<const double> edge_weights);
 
-  /// Computes the clipped per-sample gradients of `batch` (indices into
-  /// `subgraphs`) in parallel and reduces them in sample order into the
-  /// internal accumulators. Returns the summed batch loss (sample order, so
-  /// also thread-count invariant).
-  double AccumulateBatch(const SkipGramModel& model,
-                         std::span<const Subgraph> subgraphs,
-                         std::span<const uint32_t> batch);
-
-  /// Source-driven form: `batch` holds sample indices into `source`. Gathers
-  /// the batch shard-by-shard (one TryPinShard per group of samples sharing a
-  /// shard) but keeps each sample in its original batch slot, so the
-  /// accumulated result — and the returned sample-order loss — is
-  /// bit-identical to the in-memory overload for every shard geometry,
-  /// thread count, and pool budget. Aborts if the source's storage fails.
-  double AccumulateBatch(const SkipGramModel& model, SampleSource& source,
-                         std::span<const uint32_t> batch);
-
-  /// Recoverable form of the source-driven overload: a shard pin failure
-  /// (after the source's own bounded retries) surfaces as a structured error
-  /// with `*loss` untouched and the accumulators left as they were before
-  /// the call, so the epoch driver can re-run or abandon the batch.
+  /// Computes the clipped per-sample gradients of `batch` (sample indices
+  /// into `source`) in parallel and reduces them in sample order into the
+  /// internal accumulators; `*loss` is the summed batch loss (sample order,
+  /// so also thread-count invariant). Gathers the batch shard by shard (one
+  /// TryPinShard per group of samples sharing a shard) but keeps each
+  /// sample in its original batch slot, so the result is bit-identical for
+  /// every shard geometry, thread count, and pool budget. A shard pin
+  /// failure (after the source's own bounded retries) surfaces as a
+  /// structured error with `*loss` untouched and the accumulators left as
+  /// they were before the call, so the epoch driver can re-run or abandon
+  /// the batch.
   Status TryAccumulateBatch(const SkipGramModel& model, SampleSource& source,
                             std::span<const uint32_t> batch, double* loss);
 
@@ -198,6 +191,7 @@ class BatchGradientEngine {
                              double stddev, Rng& rng);
 
   /// Applies w -= lr · grad for every touched row of both accumulators,
+  /// rounding each written row to float32 under EmbeddingStorage::kFloat32,
   /// then clears them. Row-parallel (rows are disjoint).
   void ApplyUpdate(SkipGramModel& model, double learning_rate);
 
@@ -210,13 +204,12 @@ class BatchGradientEngine {
   void ResolveWeights(double pij, double& w_pos, double& w_neg) const;
 
   BatchGradientEngineOptions opts_;
-  std::span<const double> edge_weights_;
   ThreadPool pool_;
 
   SparseRowGrad grad_in_;   // ∂L/∂Win accumulator (B touched rows max)
   SparseRowGrad grad_out_;  // ∂L/∂Wout accumulator (B·(k+1) rows max)
 
-  // Per-sample scratch, sized on first AccumulateBatch and reused. Sample i
+  // Per-sample scratch, sized on first TryAccumulateBatch and reused. Sample i
   // owns center_grads_[i·dim ..), context slab i·ctx_slot_.. of
   // context_nodes_/context_grads_, losses_[i], context_counts_[i].
   size_t ctx_slot_ = 0;  // max contexts (k+1) per sample in the current batch

@@ -107,6 +107,7 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
   eopts.negative_weighting = cfg.negative_weighting;
   eopts.min_weight = min_weight;
   eopts.num_threads = cfg.ResolvedThreads();
+  eopts.storage = cfg.embedding_storage;
   BatchGradientEngine engine(eopts, {});
 
   const double lr = cfg.learning_rate;
@@ -147,15 +148,20 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
 
   // Reduced-precision storage: keep the weights exactly
   // float32-representable at every epoch boundary. Rounding here covers both
-  // the fresh init and a resumed snapshot; the in-loop rounding below runs
-  // after each ApplyUpdate, BEFORE the checkpoint save, so a float payload
+  // the fresh init and a resumed snapshot. After that, ApplyUpdate rounds
+  // each row it writes (eopts.storage), so the other rows stay exact without
+  // a pass; only kNaive, whose noise writes every row, rounds whole
+  // matrices. Both happen BEFORE the checkpoint save, so a float payload
   // (checkpoint v2) is lossless and resume stays bit-identical. Rounding is
-  // deterministic per element and, on noised weights, DP post-processing.
+  // deterministic per element, idempotent and, on noised weights, DP
+  // post-processing.
   const bool round_f32 = cfg.embedding_storage == EmbeddingStorage::kFloat32;
   if (round_f32) {
     model.w_in.RoundToFloat32();
     model.w_out.RoundToFloat32();
   }
+  const bool round_all_rows =
+      round_f32 && cfg.perturbation == PerturbationStrategy::kNaive;
 
   for (size_t epoch = start_epoch; epoch < cfg.max_epochs; ++epoch) {
     if (is_private && epoch >= result.epochs_allowed) {
@@ -192,7 +198,7 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
         break;
     }
     engine.ApplyUpdate(model, lr);
-    if (round_f32) {
+    if (round_all_rows) {
       model.w_in.RoundToFloat32();
       model.w_out.RoundToFloat32();
     }

@@ -23,12 +23,13 @@ struct SkipGramModel {
 
   /// word2vec-style initialisation: Win ~ U(-0.5/r, 0.5/r), Wout = 0 is the
   /// classic choice but prevents any learning signal through σ(v·0); we use
-  /// small uniform noise on both sides instead.
-  SkipGramModel(size_t num_nodes, size_t dim, Rng& rng)
-      : w_in(num_nodes, dim), w_out(num_nodes, dim) {
+  /// small uniform noise on both sides instead. Win, then Wout, from
+  /// consecutive ranges of `rng`'s stream; each is filled in parallel as its
+  /// first touch (Matrix::Uniform).
+  SkipGramModel(size_t num_nodes, size_t dim, Rng& rng) {
     const double a = 0.5 / static_cast<double>(dim);
-    w_in.FillUniform(rng, -a, a);
-    w_out.FillUniform(rng, -a, a);
+    w_in = Matrix::Uniform(num_nodes, dim, rng, -a, a);
+    w_out = Matrix::Uniform(num_nodes, dim, rng, -a, a);
   }
 
   size_t num_nodes() const { return w_in.rows(); }

@@ -109,25 +109,34 @@ SubgraphGenerator::SubgraphGenerator(const AdjacencyOracle& oracle,
 
 void SubgraphGenerator::Next(NodeId u, NodeId v, uint32_t edge_index,
                              Subgraph& out) {
+  out.edge_index = edge_index;
+  out.negatives.resize(static_cast<size_t>(negatives_per_edge_));
+  Draw(u, v, out.center, out.context, out.negatives.data());
+}
+
+void SubgraphGenerator::Next(NodeId u, NodeId v, std::span<NodeId> record) {
+  SEPRIV_DCHECK(record.size() == static_cast<size_t>(negatives_per_edge_) + 2);
+  Draw(u, v, record[0], record[1], record.data() + 2);
+}
+
+void SubgraphGenerator::Draw(NodeId u, NodeId v, NodeId& center,
+                             NodeId& context, NodeId* negatives) {
   const size_t n = oracle_.num_nodes();
   if (orientation_ == EdgeOrientation::kRandom && rng_.Bernoulli(0.5)) {
-    out.center = v;
-    out.context = u;
+    center = v;
+    context = u;
   } else {
-    out.center = u;
-    out.context = v;
+    center = u;
+    context = v;
   }
-  out.edge_index = edge_index;
-  out.negatives.clear();
-  out.negatives.reserve(static_cast<size_t>(negatives_per_edge_));
   // Algorithm 1 lines 4–12: rejection-sample nodes non-adjacent to center.
   for (int k = 0; k < negatives_per_edge_; ++k) {
-    NodeId cand = out.center;
+    NodeId cand = center;
     bool found = false;
     for (int tries = 0; tries < 256; ++tries) {
       cand = static_cast<NodeId>(rng_.UniformInt(n));
-      if (cand != out.center &&
-          (!exclude_neighbors_ || !oracle_.HasEdge(out.center, cand))) {
+      if (cand != center &&
+          (!exclude_neighbors_ || !oracle_.HasEdge(center, cand))) {
         found = true;
         break;
       }
@@ -143,7 +152,7 @@ void SubgraphGenerator::Next(NodeId u, NodeId v, uint32_t edge_index,
       uint64_t valid_seen = 0;
       for (size_t probe = 0; probe < n; ++probe) {
         const auto node = static_cast<NodeId>(probe);
-        if (node == out.center || oracle_.HasEdge(out.center, node)) continue;
+        if (node == center || oracle_.HasEdge(center, node)) continue;
         ++valid_seen;
         if (valid_seen == 1 || rng_.UniformInt(valid_seen) == 0) cand = node;
       }
@@ -152,10 +161,10 @@ void SubgraphGenerator::Next(NodeId u, NodeId v, uint32_t edge_index,
     if (!found) {
       // Truly no valid negative (e.g. complete graph): relax to any
       // non-center node so construction still terminates.
-      cand = static_cast<NodeId>((out.center + 1 + rng_.UniformInt(n - 1)) % n);
-      if (cand == out.center) cand = static_cast<NodeId>((cand + 1) % n);
+      cand = static_cast<NodeId>((center + 1 + rng_.UniformInt(n - 1)) % n);
+      if (cand == center) cand = static_cast<NodeId>((cand + 1) % n);
     }
-    out.negatives.push_back(cand);
+    negatives[k] = cand;
   }
 }
 
@@ -165,12 +174,11 @@ SubgraphSampler::SubgraphSampler(const Graph& graph, int negatives_per_edge,
   GraphAdjacencyOracle oracle(graph);
   SubgraphGenerator gen(oracle, negatives_per_edge, seed, orientation,
                         exclude_neighbors);
-  subgraphs_.reserve(graph.num_edges());
-  for (size_t e = 0; e < graph.Edges().size(); ++e) {
+  table_ = SubgraphTable(graph.num_edges(),
+                         static_cast<size_t>(negatives_per_edge));
+  for (size_t e = 0; e < table_.size(); ++e) {
     const Edge& edge = graph.Edges()[e];
-    Subgraph s;
-    gen.Next(edge.u, edge.v, static_cast<uint32_t>(e), s);
-    subgraphs_.push_back(std::move(s));
+    gen.Next(edge.u, edge.v, table_.Record(e));
   }
 }
 
@@ -200,7 +208,7 @@ std::vector<uint32_t> SampleBatchIndices(size_t population, size_t batch_size,
 
 std::vector<uint32_t> SubgraphSampler::SampleBatch(size_t batch_size,
                                                    Rng& rng) const {
-  return SampleBatchIndices(subgraphs_.size(), batch_size, rng);
+  return SampleBatchIndices(table_.size(), batch_size, rng);
 }
 
 }  // namespace sepriv

@@ -7,11 +7,16 @@
 // The per-edge construction is factored into SubgraphGenerator, driven by an
 // AdjacencyOracle, so the out-of-core pipeline can stream edges from a
 // sharded store and write each Subgraph to disk without ever materialising
-// GS. SubgraphSampler (the resident form) is a thin loop over the generator;
+// GS. SubgraphSampler (the resident form) is a thin loop over the generator
+// that fills a SubgraphTable, GS as one flat array of fixed-width records;
 // for a fixed (seed, orientation, exclude_neighbors, negatives) and the same
 // edge order, both produce the identical RNG stream and hence identical
 // samples. ShardHaloOracle answers the generator's adjacency probes for one
 // pinned scan shard of a GraphStore at a time.
+//
+// Algorithm 1 stays one serial pass on one stream: the draws an edge
+// consumes depend on its adjacency probes (rejections, the reservoir
+// fallback), so edge e's first draw is not known before edges 0..e-1 ran.
 
 #ifndef SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
 #define SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
@@ -34,6 +39,46 @@ struct SEPRIV_SENSITIVE_SOURCE Subgraph {
   NodeId context = 0;              // v_j
   std::vector<NodeId> negatives;   // v_n, (center, v_n) ∉ E
   uint32_t edge_index = 0;         // index into Graph::Edges() for p_ij lookup
+};
+
+/// GS as one flat table: row e is edge e's sample, a fixed-width record of
+/// 2 + k NodeIds — center, context, then the k negatives. One allocation of
+/// |E|·(2 + k)·4 bytes (28 B per edge at k = 5), where a Subgraph costs
+/// about 72 B with its heap block. Only SubgraphSampler builds one, writing
+/// every row through SubgraphGenerator.
+class SEPRIV_SENSITIVE_SOURCE SubgraphTable {
+ public:
+  /// One row: views into the table, valid while it lives.
+  struct Row {
+    NodeId center = 0;
+    NodeId context = 0;
+    std::span<const NodeId> negatives;
+  };
+
+  SubgraphTable() = default;
+
+  size_t size() const { return rows_; }
+  size_t negatives_per_row() const { return width_ - 2; }
+
+  Row operator[](size_t e) const {
+    const NodeId* r = cells_.data() + e * width_;
+    return {r[0], r[1], {r + 2, width_ - 2}};
+  }
+
+ private:
+  friend class SubgraphSampler;
+  SubgraphTable(size_t rows, size_t negatives_per_row)
+      : rows_(rows),
+        width_(negatives_per_row + 2),
+        cells_(rows * width_) {}
+
+  std::span<NodeId> Record(size_t e) {
+    return {cells_.data() + e * width_, width_};
+  }
+
+  size_t rows_ = 0;
+  size_t width_ = 2;
+  std::vector<NodeId> cells_;  // rows_ records of width_ NodeIds
 };
 
 /// How the undirected edge is oriented into (center, context).
@@ -126,7 +171,14 @@ class SubgraphGenerator {
   /// once warm).
   void Next(NodeId u, NodeId v, uint32_t edge_index, Subgraph& out);
 
+  /// The same sample written as a SubgraphTable record: center, context,
+  /// then the k negatives (`record` holds 2 + k entries).
+  void Next(NodeId u, NodeId v, std::span<NodeId> record);
+
  private:
+  void Draw(NodeId u, NodeId v, NodeId& center, NodeId& context,
+            NodeId* negatives);
+
   const AdjacencyOracle& oracle_;
   int negatives_per_edge_;
   EdgeOrientation orientation_;
@@ -134,7 +186,7 @@ class SubgraphGenerator {
   Rng rng_;
 };
 
-/// Materialises GS = {S_1, ..., S_|E|}.
+/// Materialises GS = {S_1, ..., S_|E|} as a SubgraphTable.
 class SubgraphSampler {
  public:
   /// exclude_neighbors = true is the literal Algorithm 1 (negatives must be
@@ -145,15 +197,15 @@ class SubgraphSampler {
                   EdgeOrientation orientation = EdgeOrientation::kRandom,
                   bool exclude_neighbors = true);
 
-  const std::vector<Subgraph>& All() const { return subgraphs_; }
-  size_t size() const { return subgraphs_.size(); }
+  const SubgraphTable& All() const { return table_; }
+  size_t size() const { return table_.size(); }
 
   /// Uniformly samples `batch_size` subgraph indices without replacement
   /// (the "subsample without replacement" setup of Definition 6).
   std::vector<uint32_t> SampleBatch(size_t batch_size, Rng& rng) const;
 
  private:
-  std::vector<Subgraph> subgraphs_;
+  SubgraphTable table_;
 };
 
 /// The batch-subsampling step alone: a uniform min(batch_size, population)-

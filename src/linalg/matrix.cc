@@ -1,5 +1,6 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/kernels.h"
@@ -7,12 +8,29 @@
 
 namespace sepriv {
 
+Matrix Matrix::Uniform(size_t rows, size_t cols, Rng& rng, double lo,
+                       double hi) {
+  Matrix m(rows, cols, Uninitialized{});
+  m.FillUniform(rng, lo, hi);
+  return m;
+}
+
 void Matrix::FillGaussian(Rng& rng, double mean, double stddev) {
   kernels::FillGaussian(rng, data_.data(), data_.size(), mean, stddev);
 }
 
 void Matrix::FillUniform(Rng& rng, double lo, double hi) {
-  for (double& x : data_) x = rng.Uniform(lo, hi);
+  const size_t n = data_.size();
+  double* data = data_.data();
+  const Rng start = rng;
+  kernels::ParallelTasks((n + kFillBlock - 1) / kFillBlock, [&](size_t b) {
+    const size_t first = b * kFillBlock;
+    const size_t end = std::min(n, first + kFillBlock);
+    Rng block = start;
+    block.Advance(first);
+    for (size_t i = first; i < end; ++i) data[i] = block.Uniform(lo, hi);
+  });
+  rng.Advance(n);
 }
 
 void Matrix::FillXavier(Rng& rng) {
@@ -32,7 +50,11 @@ void Matrix::Scale(double alpha) {
 }
 
 void Matrix::RoundToFloat32() {
-  for (double& x : data_) x = static_cast<double>(static_cast<float>(x));
+  sepriv::RoundToFloat32({data_.data(), data_.size()});
+}
+
+void RoundToFloat32(std::span<double> values) {
+  for (double& x : values) x = static_cast<double>(static_cast<float>(x));
 }
 
 double Matrix::RowNorm(size_t i) const {

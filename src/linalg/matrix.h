@@ -12,7 +12,11 @@
 #define SEPRIVGEMB_LINALG_MATRIX_H_
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -30,6 +34,13 @@ class Matrix {
   /// rows x cols matrix with every entry set to `fill`.
   Matrix(size_t rows, size_t cols, double fill)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+  /// rows x cols matrix of U[lo, hi) entries drawn from `rng` in row-major
+  /// order: the values, and where `rng` ends, equal a zero-initialised
+  /// matrix followed by FillUniform. The storage is never zero-filled, so
+  /// the parallel fill is its first touch.
+  static Matrix Uniform(size_t rows, size_t cols, Rng& rng, double lo,
+                        double hi);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -53,8 +64,18 @@ class Matrix {
   /// Fills with i.i.d. N(mean, stddev^2) entries.
   void FillGaussian(Rng& rng, double mean = 0.0, double stddev = 1.0);
 
-  /// Fills with U[lo, hi) entries.
+  /// Fills with U[lo, hi) entries: element i (row-major) is draw i of
+  /// `rng`, which ends size() draws further on — the serial loop's values
+  /// and end state. Blocks of kFillBlock elements run on
+  /// kernels::ParallelTasks, each from a copy of `rng` advanced to its
+  /// first element (Rng::Advance), so the result does not depend on the
+  /// linalg thread count.
   void FillUniform(Rng& rng, double lo, double hi);
+
+  /// FillUniform's elements per task: a scheduling grain only. 2^16 doubles
+  /// (512 KiB) make one Advance (~20 µs) small against the block's fill,
+  /// and still spread a 10^5 x 128 matrix over ~200 tasks.
+  static constexpr size_t kFillBlock = size_t{1} << 16;
 
   /// Xavier/Glorot uniform initialisation: U[-a, a], a = sqrt(6/(fan_in+fan_out)).
   void FillXavier(Rng& rng);
@@ -66,10 +87,11 @@ class Matrix {
   void Scale(double alpha);
 
   /// Rounds every entry to its nearest float32 value (kept widened as
-  /// double). The reduced-precision embedding-storage mode applies this at
-  /// every epoch boundary so the training weights are always exactly
-  /// float32-representable — a Float32Matrix copy or checkpoint payload is
-  /// then lossless and resume stays bit-identical. Deterministic (IEEE
+  /// double). The reduced-precision embedding-storage mode keeps the
+  /// training weights exactly float32-representable at every epoch
+  /// boundary — this pass at init and resume, the row form below for the
+  /// rows an update writes — so a Float32Matrix copy or checkpoint payload
+  /// is lossless and resume stays bit-identical. Deterministic (IEEE
   /// round-to-nearest-even per element); on noised weights this is DP
   /// post-processing.
   void RoundToFloat32();
@@ -100,11 +122,45 @@ class Matrix {
   bool dp_sanitized() const { return dp_sanitized_; }
 
  private:
+  /// std::allocator that default-initialises on resize: the vector grown
+  /// through it leaves new elements uninitialised instead of zero-filling
+  /// them. Every public constructor still passes an explicit value; only
+  /// the Uninitialized constructor below, whose caller writes every
+  /// element, relies on it.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  struct Uninitialized {};
+  Matrix(size_t rows, size_t cols, Uninitialized) : rows_(rows), cols_(cols) {
+    data_.resize(rows * cols);  // default-initialised: no zero fill
+  }
+
   size_t rows_ = 0;
   size_t cols_ = 0;
   bool dp_sanitized_ = false;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
+
+/// Rounds every entry of `values` to its nearest float32 value, kept
+/// widened as double (IEEE round-to-nearest-even per element).
+void RoundToFloat32(std::span<double> values);
 
 /// Dense row-major matrix of float32 — the reduced-precision storage for
 /// embedding tables (half the resident bytes of Matrix). A read-side type:

@@ -9,6 +9,7 @@
 #ifndef SEPRIVGEMB_UTIL_RNG_H_
 #define SEPRIVGEMB_UTIL_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -68,6 +69,15 @@ class Rng {
     s_[3] = Rotl(s_[3], 45);
     return result;
   }
+
+  /// Moves the engine forward `n` draws: the state `n` calls to Next() would
+  /// reach, in O(log n) steps. The xoshiro256** transition T is linear over
+  /// GF(2), so T^n = q(T) for q(x) = x^n mod p(x), where p is the
+  /// characteristic polynomial of T (jump-ahead; Haramoto et al., INFORMS
+  /// J. Computing 2008). The Box–Muller cache is left as is, as it would be
+  /// by `n` calls to Next(). Parallel fills give every block a copy of one
+  /// engine advanced to the block's first draw (Matrix::FillUniform).
+  void Advance(uint64_t n);
 
   /// Uniform double in [0, 1).
   double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
@@ -160,6 +170,11 @@ class Rng {
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  /// low(x) of the characteristic polynomial p(x) = x^256 + low(x) of the
+  /// state transition, bit i%64 of word i/64 the coefficient of x^i.
+  /// Derived from the engine on first use (rng.cc).
+  static const std::array<uint64_t, 4>& CharPolyLow();
 
   uint64_t s_[4] = {};
   double cached_ = 0.0;

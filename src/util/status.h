@@ -14,6 +14,8 @@
 #include <string>
 #include <utility>
 
+#include "util/check.h"
+
 namespace sepriv {
 
 enum class StatusCode {
@@ -87,6 +89,15 @@ inline Status NotFoundError(std::string message) {
   do {                                            \
     ::sepriv::Status sepriv_status_tmp_ = (expr); \
     if (!sepriv_status_tmp_.ok()) return sepriv_status_tmp_; \
+  } while (0)
+
+/// Aborts with the message of a non-ok Status: for callers that have no
+/// error path of their own (benches, tools).
+#define SEPRIV_CHECK_OK(expr)                                     \
+  do {                                                            \
+    const ::sepriv::Status sepriv_status_tmp_ = (expr);           \
+    SEPRIV_CHECK(sepriv_status_tmp_.ok(), "%s",                   \
+                 sepriv_status_tmp_.ToString().c_str());          \
   } while (0)
 
 }  // namespace sepriv

@@ -38,6 +38,22 @@ struct Fixture {
     batch = sampler.SampleBatch(40, rng);
   }
 
+  /// Accumulates `b` through the resident source over the fixture's table.
+  double Accumulate(BatchGradientEngine& engine, const SkipGramModel& m,
+                    std::span<const uint32_t> b) const {
+    InMemorySampleSource source(sampler.All(), weights);
+    double loss = 0.0;
+    EXPECT_TRUE(engine.TryAccumulateBatch(m, source, b, &loss).ok());
+    return loss;
+  }
+
+  /// Row `idx` of the table as a Subgraph, the sgns reference input.
+  Subgraph SampleAt(uint32_t idx) const {
+    const SubgraphTable::Row r = sampler.All()[idx];
+    return {r.center, r.context, {r.negatives.begin(), r.negatives.end()},
+            idx};
+  }
+
   BatchGradientEngineOptions Options(size_t threads, bool clip) const {
     BatchGradientEngineOptions o;
     o.num_nodes = graph.num_nodes();
@@ -69,8 +85,8 @@ void SerialReference(const Fixture& f, bool clip, double clip_threshold,
                      double& loss_out) {
   loss_out = 0.0;
   for (uint32_t idx : f.batch) {
-    const Subgraph& s = f.sampler.All()[idx];
-    const double pij = f.weights[s.edge_index];
+    const Subgraph s = f.SampleAt(idx);
+    const double pij = f.weights[idx];
     SgnsGradient g = ComputeSgnsGradient(f.model, s, pij, pij);
     loss_out += g.loss;
     if (clip) {
@@ -191,8 +207,7 @@ TEST(BatchGradientEngineTest, MatchesSerialReferenceBitwise) {
 
     for (size_t threads : {1UL, 2UL, 4UL}) {
       BatchGradientEngine engine(f.Options(threads, clip), f.weights);
-      const double loss =
-          engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
+      const double loss = f.Accumulate(engine, f.model, f.batch);
       EXPECT_EQ(loss, ref_loss) << threads << " threads, clip=" << clip;
       EXPECT_EQ(
           MaxAbsDiff(DenseCopy(engine.grad_in(), f), DenseCopy(ref_in, f)),
@@ -211,7 +226,7 @@ TEST(BatchGradientEngineTest, NonZeroPerturbationThreadCountInvariant) {
   Matrix base_in, base_out;
   for (size_t threads : {1UL, 2UL, 4UL}) {
     BatchGradientEngine engine(f.Options(threads, true), f.weights);
-    engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
+    f.Accumulate(engine, f.model, f.batch);
     Rng noise_rng(777);
     // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
     engine.PerturbNonZero(2.5, noise_rng);
@@ -232,7 +247,7 @@ TEST(BatchGradientEngineTest, NonZeroPerturbationThreadCountInvariant) {
 TEST(BatchGradientEngineTest, NonZeroPerturbationOnlyTouchesTouchedRows) {
   const Fixture f;
   BatchGradientEngine engine(f.Options(2, true), f.weights);
-  engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
+  f.Accumulate(engine, f.model, f.batch);
   const size_t n = f.graph.num_nodes();
   std::vector<bool> in_touched(n, false), out_touched(n, false);
   for (uint32_t r : engine.grad_in().touched()) in_touched[r] = true;
@@ -284,7 +299,7 @@ TEST(BatchGradientEngineTest, NaivePerturbationThreadCountInvariant) {
 TEST(BatchGradientEngineTest, ApplyUpdateSubtractsScaledGradientAndClears) {
   const Fixture f;
   BatchGradientEngine engine(f.Options(3, false), f.weights);
-  engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
+  f.Accumulate(engine, f.model, f.batch);
   const Matrix grads_in = DenseCopy(engine.grad_in(), f);
   const Matrix grads_out = DenseCopy(engine.grad_out(), f);
 
@@ -302,7 +317,7 @@ TEST(BatchGradientEngineTest, ApplyUpdateSubtractsScaledGradientAndClears) {
   EXPECT_TRUE(engine.grad_out().touched().empty());
   // Cleared means zeroed: the same batch accumulates to the same gradients
   // again, not to twice them.
-  engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
+  f.Accumulate(engine, f.model, f.batch);
   EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_in(), f), grads_in), 0.0);
   EXPECT_EQ(MaxAbsDiff(DenseCopy(engine.grad_out(), f), grads_out), 0.0);
 }
@@ -318,7 +333,7 @@ TEST(BatchGradientEngineTest, MemoryIsBoundedByTouchedRows) {
   const size_t rss_before = CurrentRssBytes();
   if (rss_before == 0) GTEST_SKIP() << "no /proc/self/status";
   BatchGradientEngine engine(opts, f.weights);
-  engine.AccumulateBatch(f.model, f.sampler.All(), f.batch);
+  f.Accumulate(engine, f.model, f.batch);
   Rng noise_rng(6);
   // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
   engine.PerturbNonZero(1.0, noise_rng);
@@ -331,8 +346,8 @@ TEST(BatchGradientEngineTest, MemoryIsBoundedByTouchedRows) {
 }
 
 TEST(BatchGradientEngineTest, ScratchReuseAcrossBatchesStaysCorrect) {
-  // Repeated AccumulateBatch/ApplyUpdate cycles must not leak state between
-  // batches (the scratch slots are reused, the accumulators cleared).
+  // Repeated TryAccumulateBatch/ApplyUpdate cycles must not leak state
+  // between batches (the scratch slots are reused, the accumulators cleared).
   const Fixture f;
   BatchGradientEngine a(f.Options(1, true), f.weights);
   BatchGradientEngine b(f.Options(4, true), f.weights);
@@ -344,8 +359,8 @@ TEST(BatchGradientEngineTest, ScratchReuseAcrossBatchesStaysCorrect) {
       Rng batch_rng(1000 + round);
       return f.sampler.SampleBatch(24, batch_rng);
     }();
-    const double la = a.AccumulateBatch(model_a, f.sampler.All(), batch);
-    const double lb = b.AccumulateBatch(model_b, f.sampler.All(), batch);
+    const double la = f.Accumulate(a, model_a, batch);
+    const double lb = f.Accumulate(b, model_b, batch);
     EXPECT_EQ(la, lb);
     // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
     a.PerturbNonZero(0.8, rng_a);
@@ -360,8 +375,8 @@ TEST(BatchGradientEngineTest, ScratchReuseAcrossBatchesStaysCorrect) {
 TEST(SgnsGradientIntoTest, MatchesAllocatingForm) {
   const Fixture f;
   for (uint32_t idx : f.batch) {
-    const Subgraph& s = f.sampler.All()[idx];
-    const double pij = f.weights[s.edge_index];
+    const Subgraph s = f.SampleAt(idx);
+    const double pij = f.weights[idx];
     const SgnsGradient g = ComputeSgnsGradient(f.model, s, pij, 0.4);
 
     const size_t dim = f.model.dim();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "linalg/kernels.h"
 #include "util/rng.h"
 
 namespace sepriv {
@@ -172,6 +175,80 @@ TEST(MatrixTest, MatMulAssociativityNumeric) {
   c.FillGaussian(rng);
   EXPECT_LT(MaxAbsDiff(MatMul(MatMul(a, b), c), MatMul(a, MatMul(b, c))),
             1e-10);
+}
+
+// The serial loop FillUniform replaced: element i is draw i of `rng`.
+std::vector<double> SerialUniform(Rng& rng, size_t n, double lo, double hi) {
+  std::vector<double> out(n);
+  for (double& x : out) x = rng.Uniform(lo, hi);
+  return out;
+}
+
+bool SameBits(const Matrix& m, const std::vector<double>& want) {
+  return m.size() == want.size() &&
+         (want.empty() ||
+          std::memcmp(m.data(), want.data(), want.size() * sizeof(double)) ==
+              0);
+}
+
+bool SamePosition(Rng a, Rng b) {
+  const Rng::State sa = a.SaveState(), sb = b.SaveState();
+  return std::memcmp(sa.s, sb.s, sizeof(sa.s)) == 0 && a.Next() == b.Next();
+}
+
+// Every size around the block boundary, at every linalg thread count: the
+// same values as the serial loop, and the caller's Rng ends where the loop
+// left it.
+TEST(FillUniformTest, MatchesSerialLoopAtEveryThreadCount) {
+  const size_t block = Matrix::kFillBlock;
+  for (size_t threads : {1UL, 2UL, 4UL, 8UL}) {
+    kernels::SetLinalgThreads(threads);
+    for (size_t n : {size_t{0}, size_t{1}, block - 1, block, block + 1,
+                     3 * block + 5}) {
+      Rng rng(42 + n), ref_rng(42 + n);
+      Matrix m(n, 1);
+      m.FillUniform(rng, -0.25, 0.75);
+      const std::vector<double> want = SerialUniform(ref_rng, n, -0.25, 0.75);
+      EXPECT_TRUE(SameBits(m, want)) << threads << " threads, n=" << n;
+      EXPECT_TRUE(SamePosition(rng, ref_rng))
+          << threads << " threads, n=" << n;
+    }
+  }
+  kernels::SetLinalgThreads(0);
+}
+
+// The factory skips the zero fill; its values and end state are the fill's.
+TEST(FillUniformTest, UniformFactoryMatchesSerialLoop) {
+  kernels::SetLinalgThreads(4);
+  const size_t rows = 1000, cols = 131;  // not a multiple of the block
+  Rng rng(5), ref_rng(5);
+  const Matrix m = Matrix::Uniform(rows, cols, rng, -0.5, 0.5);
+  EXPECT_EQ(m.rows(), rows);
+  EXPECT_EQ(m.cols(), cols);
+  EXPECT_TRUE(SameBits(m, SerialUniform(ref_rng, rows * cols, -0.5, 0.5)));
+  EXPECT_TRUE(SamePosition(rng, ref_rng));
+  kernels::SetLinalgThreads(0);
+}
+
+// Called from inside a ParallelTasks task, the fill takes ParallelTasks'
+// serial fallback, with the same values.
+TEST(FillUniformTest, MatchesSerialLoopInsideParallelTask) {
+  kernels::SetLinalgThreads(4);
+  const size_t n = 2 * Matrix::kFillBlock + 3;
+  std::vector<Matrix> filled(4, Matrix(n, 1));
+  std::vector<Rng> ends(4);
+  kernels::ParallelTasks(4, [&](size_t t) {
+    Rng rng(100 + t);
+    filled[t].FillUniform(rng, 0.0, 2.0);
+    ends[t] = rng;
+  });
+  for (size_t t = 0; t < 4; ++t) {
+    Rng ref_rng(100 + t);
+    EXPECT_TRUE(SameBits(filled[t], SerialUniform(ref_rng, n, 0.0, 2.0)))
+        << "task " << t;
+    EXPECT_TRUE(SamePosition(ends[t], ref_rng)) << "task " << t;
+  }
+  kernels::SetLinalgThreads(0);
 }
 
 }  // namespace

@@ -182,5 +182,43 @@ TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   EXPECT_NE(rng(), rng());
 }
 
+// Advance(n) is n calls to Next(): the state and the draws that follow are
+// equal, across the word and polynomial-degree boundaries of the jump.
+TEST(RngAdvanceTest, MatchesSequentialNext) {
+  for (uint64_t n : {0ULL, 1ULL, 2ULL, 63ULL, 64ULL, 255ULL, 256ULL, 257ULL,
+                     1000003ULL}) {
+    Rng jumped(0xabcdef + n), stepped(0xabcdef + n);
+    jumped.Advance(n);
+    for (uint64_t i = 0; i < n; ++i) stepped.Next();
+    const Rng::State a = jumped.SaveState(), b = stepped.SaveState();
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(a.s[w], b.s[w]) << "n=" << n;
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(jumped.Next(), stepped.Next()) << "n=" << n << " draw " << i;
+    }
+  }
+}
+
+TEST(RngAdvanceTest, JumpsCompose) {
+  const uint64_t a = (1ULL << 40) + 12345, b = (1ULL << 33) + 7;
+  Rng split(31), whole(31);
+  split.Advance(a);
+  split.Advance(b);
+  whole.Advance(a + b);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(split.Next(), whole.Next());
+}
+
+TEST(RngAdvanceTest, KeepsPendingBoxMullerValue) {
+  Rng jumped(77);
+  jumped.Normal();  // leaves the sin half of the pair cached
+  Rng stepped = jumped;
+  jumped.Advance(1000);
+  for (int i = 0; i < 1000; ++i) stepped.Next();
+  double cached = 0.0, want = 0.0;
+  ASSERT_TRUE(jumped.TakeCachedNormal(cached));
+  ASSERT_TRUE(stepped.TakeCachedNormal(want));
+  EXPECT_EQ(cached, want);
+  EXPECT_EQ(jumped.Normal(), stepped.Normal());
+}
+
 }  // namespace
 }  // namespace sepriv

@@ -13,6 +13,7 @@
 #include "core/batch_gradient_engine.h"
 #include "embedding/skipgram.h"
 #include "embedding/subgraph_sampler.h"
+#include "graph/generators.h"
 #include "test_tmpdir.h"
 #include "util/digest.h"
 #include "util/rng.h"
@@ -241,10 +242,19 @@ TEST_F(SampleStoreTest, VersionOneStoreIsRejected) {
 // disk-backed SampleStore produces the same bits as the in-memory source —
 // loss, accumulators, and the updated model.
 TEST_F(SampleStoreTest, EngineResultMatchesInMemorySourceBitExactly) {
-  const size_t num_nodes = 60, dim = 8, n = 40, k = 5;
-  std::vector<Subgraph> subgraphs;
-  std::vector<double> weights;
-  MakeSamples(n, num_nodes, k, /*seed=*/11, subgraphs, weights);
+  const size_t num_nodes = 60, dim = 8, k = 5;
+  const Graph graph = BarabasiAlbert(num_nodes, 2, /*seed=*/11);
+  const SubgraphSampler sampler(graph, static_cast<int>(k), /*seed=*/11);
+  const size_t n = sampler.size();
+  std::vector<Subgraph> subgraphs(n);
+  std::vector<double> weights(n);
+  Rng weight_rng(11);
+  for (uint32_t i = 0; i < n; ++i) {
+    const SubgraphTable::Row r = sampler.All()[i];
+    subgraphs[i] = {r.center, r.context,
+                    {r.negatives.begin(), r.negatives.end()}, i};
+    weights[i] = 0.1 + weight_rng.Uniform() * 0.9;
+  }
   const std::string path = TempPath("engine");
   WriteStore(path, subgraphs, weights, k, /*page_size=*/256);
 
@@ -265,14 +275,16 @@ TEST_F(SampleStoreTest, EngineResultMatchesInMemorySourceBitExactly) {
     SkipGramModel model_a(num_nodes, dim, rng_a);
     SkipGramModel model_b(num_nodes, dim, rng_b);
 
-    InMemorySampleSource mem(subgraphs, weights);
+    InMemorySampleSource mem(sampler.All(), weights);
     auto disk = SampleStore::Open(path, /*budget_pages=*/2);
     ASSERT_NE(disk, nullptr);
 
     BatchGradientEngine engine_a(opts, {});
     BatchGradientEngine engine_b(opts, {});
-    const double loss_a = engine_a.AccumulateBatch(model_a, mem, batch);
-    const double loss_b = engine_b.AccumulateBatch(model_b, *disk, batch);
+    double loss_a = 0.0, loss_b = 0.0;
+    ASSERT_TRUE(engine_a.TryAccumulateBatch(model_a, mem, batch, &loss_a).ok());
+    ASSERT_TRUE(
+        engine_b.TryAccumulateBatch(model_b, *disk, batch, &loss_b).ok());
     EXPECT_EQ(std::bit_cast<uint64_t>(loss_a), std::bit_cast<uint64_t>(loss_b))
         << threads << " threads";
 

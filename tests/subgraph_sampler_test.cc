@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "core/batch_gradient_engine.h"
 #include "graph/generators.h"
 
 namespace sepriv {
@@ -21,8 +22,7 @@ TEST(SubgraphSamplerTest, EdgeIndexAlignedWithEdgeList) {
   Graph g = KarateClub();
   SubgraphSampler sampler(g, 3, 2, EdgeOrientation::kCanonical);
   for (size_t e = 0; e < sampler.size(); ++e) {
-    const Subgraph& s = sampler.All()[e];
-    EXPECT_EQ(s.edge_index, e);
+    const SubgraphTable::Row s = sampler.All()[e];
     const Edge& edge = g.Edges()[e];
     EXPECT_EQ(s.center, edge.u);   // canonical: min endpoint is the center
     EXPECT_EQ(s.context, edge.v);
@@ -33,8 +33,9 @@ TEST(SubgraphSamplerTest, RandomOrientationCoversBothDirections) {
   Graph g = ErdosRenyiGnm(100, 400, 3);
   SubgraphSampler sampler(g, 1, 4, EdgeOrientation::kRandom);
   size_t canonical = 0;
-  for (const Subgraph& s : sampler.All()) {
-    const Edge& e = g.Edges()[s.edge_index];
+  for (size_t i = 0; i < sampler.size(); ++i) {
+    const SubgraphTable::Row s = sampler.All()[i];
+    const Edge& e = g.Edges()[i];
     ASSERT_TRUE((s.center == e.u && s.context == e.v) ||
                 (s.center == e.v && s.context == e.u));
     canonical += (s.center == e.u);
@@ -47,7 +48,8 @@ TEST(SubgraphSamplerTest, RandomOrientationCoversBothDirections) {
 TEST(SubgraphSamplerTest, NegativesAreNonAdjacentToCenter) {
   Graph g = KarateClub();
   SubgraphSampler sampler(g, 5, 5);
-  for (const Subgraph& s : sampler.All()) {
+  for (size_t e = 0; e < sampler.size(); ++e) {
+    const SubgraphTable::Row s = sampler.All()[e];
     ASSERT_EQ(s.negatives.size(), 5u);
     for (NodeId n : s.negatives) {
       EXPECT_NE(n, s.center);
@@ -60,7 +62,9 @@ TEST(SubgraphSamplerTest, NegativesAreNonAdjacentToCenter) {
 TEST(SubgraphSamplerTest, ZeroNegativesSupported) {
   Graph g = PathGraph(10);
   SubgraphSampler sampler(g, 0, 6);
-  for (const Subgraph& s : sampler.All()) EXPECT_TRUE(s.negatives.empty());
+  for (size_t e = 0; e < sampler.size(); ++e) {
+    EXPECT_TRUE(sampler.All()[e].negatives.empty());
+  }
 }
 
 TEST(SubgraphSamplerTest, DeterministicPerSeed) {
@@ -68,7 +72,8 @@ TEST(SubgraphSamplerTest, DeterministicPerSeed) {
   SubgraphSampler a(g, 4, 77), b(g, 4, 77);
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.All()[i].center, b.All()[i].center);
-    EXPECT_EQ(a.All()[i].negatives, b.All()[i].negatives);
+    EXPECT_TRUE(
+        std::ranges::equal(a.All()[i].negatives, b.All()[i].negatives));
   }
 }
 
@@ -113,7 +118,8 @@ TEST(SubgraphSamplerTest, DenseGraphFallbackTerminates) {
   // hang and negatives must differ from the center.
   Graph g = CompleteGraph(6);
   SubgraphSampler sampler(g, 3, 21);
-  for (const Subgraph& s : sampler.All()) {
+  for (size_t e = 0; e < sampler.size(); ++e) {
+    const SubgraphTable::Row s = sampler.All()[e];
     for (NodeId n : s.negatives) EXPECT_NE(n, s.center);
   }
 }
@@ -125,7 +131,8 @@ TEST(SubgraphSamplerTest, CompleteGraphFallbackFillsAllNegatives) {
   Graph g = CompleteGraph(8);
   SubgraphSampler sampler(g, 4, 33, EdgeOrientation::kCanonical,
                           /*exclude_neighbors=*/true);
-  for (const Subgraph& s : sampler.All()) {
+  for (size_t e = 0; e < sampler.size(); ++e) {
+    const SubgraphTable::Row s = sampler.All()[e];
     ASSERT_EQ(s.negatives.size(), 4u);
     for (NodeId n : s.negatives) {
       EXPECT_NE(n, s.center);
@@ -144,7 +151,7 @@ TEST(SubgraphSamplerTest, TwoNodeGraphFallbackAvoidsCenter) {
   SubgraphSampler sampler(g, 3, 7, EdgeOrientation::kCanonical,
                           /*exclude_neighbors=*/true);
   ASSERT_EQ(sampler.size(), 1u);
-  const Subgraph& s = sampler.All()[0];
+  const SubgraphTable::Row s = sampler.All()[0];
   ASSERT_EQ(s.negatives.size(), 3u);
   for (NodeId n : s.negatives) {
     EXPECT_NE(n, s.center);
@@ -170,7 +177,8 @@ TEST(SubgraphSamplerTest, FallbackScanFindsValidNegativeOnNearCompleteGraph) {
   SubgraphSampler sampler(g, 2, 19, EdgeOrientation::kCanonical,
                           /*exclude_neighbors=*/true);
   size_t checked = 0;
-  for (const Subgraph& s : sampler.All()) {
+  for (size_t e = 0; e < sampler.size(); ++e) {
+    const SubgraphTable::Row s = sampler.All()[e];
     if (s.center != 0 && s.center != 1) continue;
     const NodeId only_valid = (s.center == 0) ? 1 : 0;
     for (NodeId neg : s.negatives) {
@@ -226,7 +234,8 @@ TEST(SubgraphSamplerTest, NearCompleteGraphFindsTheOnlyValidNegative) {
   SubgraphSampler sampler(g, 2, 11, EdgeOrientation::kCanonical,
                           /*exclude_neighbors=*/true);
   bool saw_center0 = false, saw_center1 = false;
-  for (const Subgraph& s : sampler.All()) {
+  for (size_t e = 0; e < sampler.size(); ++e) {
+    const SubgraphTable::Row s = sampler.All()[e];
     if (s.center != 0 && s.center != 1) continue;
     saw_center0 |= (s.center == 0);
     saw_center1 |= (s.center == 1);
@@ -235,6 +244,80 @@ TEST(SubgraphSamplerTest, NearCompleteGraphFindsTheOnlyValidNegative) {
   }
   EXPECT_TRUE(saw_center0);
   EXPECT_TRUE(saw_center1);
+}
+
+/// Graph adjacency that counts the generator's probes.
+class CountingOracle final : public AdjacencyOracle {
+ public:
+  explicit CountingOracle(const Graph& graph) : graph_(graph) {}
+  size_t num_nodes() const override { return graph_.num_nodes(); }
+  bool HasEdge(NodeId u, NodeId v) const override {
+    ++probes;
+    return graph_.HasEdge(u, v);
+  }
+  mutable size_t probes = 0;
+
+ private:
+  const Graph& graph_;
+};
+
+/// Checks every row of the sampler's table against SubgraphGenerator::Next
+/// on the same stream, and InMemorySampleSource::Get against the row.
+/// Returns the most adjacency probes one edge took.
+size_t ExpectTableMatchesGenerator(const Graph& g, int k, uint64_t seed,
+                                   EdgeOrientation orientation,
+                                   bool exclude_neighbors) {
+  const SubgraphSampler sampler(g, k, seed, orientation, exclude_neighbors);
+  const SubgraphTable& table = sampler.All();
+  EXPECT_EQ(table.size(), g.num_edges());
+  EXPECT_EQ(table.negatives_per_row(), static_cast<size_t>(k));
+  std::vector<double> weights(g.num_edges());
+  for (size_t e = 0; e < weights.size(); ++e) weights[e] = 0.5 + 0.25 * e;
+  const InMemorySampleSource source(table, weights);
+
+  CountingOracle oracle(g);
+  SubgraphGenerator gen(oracle, k, seed, orientation, exclude_neighbors);
+  Subgraph want;
+  size_t max_probes = 0;
+  for (size_t e = 0; e < g.num_edges(); ++e) {
+    oracle.probes = 0;
+    gen.Next(g.Edges()[e].u, g.Edges()[e].v, static_cast<uint32_t>(e), want);
+    max_probes = std::max(max_probes, oracle.probes);
+    const SubgraphTable::Row row = table[e];
+    EXPECT_EQ(row.center, want.center) << "edge " << e;
+    EXPECT_EQ(row.context, want.context) << "edge " << e;
+    EXPECT_TRUE(std::ranges::equal(row.negatives, want.negatives))
+        << "edge " << e;
+    const SampleView v = source.Get(static_cast<uint32_t>(e));
+    EXPECT_EQ(v.center, row.center);
+    EXPECT_EQ(v.context, row.context);
+    EXPECT_EQ(v.weight, weights[e]);
+    EXPECT_EQ(v.negatives.data(), row.negatives.data()) << "edge " << e;
+    EXPECT_EQ(v.negatives.size(), row.negatives.size());
+  }
+  return max_probes;
+}
+
+// K_100 minus a perfect matching: every center has one valid negative, so
+// rejection fails its 256 tries ~8% of the time and the reservoir scan
+// runs. With k = 1 an edge that probes more than 256 times took the scan.
+TEST(SubgraphTableTest, RowsMatchGeneratorThroughReservoirFallback) {
+  const size_t n = 100;
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v)
+      if (!(u % 2 == 0 && v == u + 1)) edges.push_back({u, v});
+  const Graph g = Graph::FromEdges(n, std::move(edges));
+  const size_t max_probes = ExpectTableMatchesGenerator(
+      g, 1, 29, EdgeOrientation::kRandom, /*exclude_neighbors=*/true);
+  EXPECT_GT(max_probes, 256u);
+}
+
+TEST(SubgraphTableTest, RowsMatchGeneratorWithoutNeighborExclusion) {
+  const Graph g = BarabasiAlbert(300, 4, /*seed=*/8);
+  const size_t max_probes = ExpectTableMatchesGenerator(
+      g, 5, 31, EdgeOrientation::kRandom, /*exclude_neighbors=*/false);
+  EXPECT_EQ(max_probes, 0u);  // no adjacency test, so no probe
 }
 
 }  // namespace
