@@ -169,6 +169,10 @@ TEST_F(FaultInjectionTest, SsdStorePersistentTornSurfacesCorruption) {
 using FaultInjectionDeathTest = FaultInjectionTest;
 
 TEST_F(FaultInjectionDeathTest, AbortingPinDiesOnPersistentFault) {
+  // The store's prefetch thread is alive when EXPECT_DEATH forks. Re-run
+  // the test in a fresh process instead, so the child cannot inherit the
+  // pool mutex that thread may hold at the fork and block on it forever.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = BarabasiAlbert(60, 3, /*seed=*/9);
   const std::string dir = root_ + "/death_shards";
   ASSERT_TRUE(WriteGraphShards(g, dir, 2));

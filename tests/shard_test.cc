@@ -206,6 +206,10 @@ TEST_F(ShardTest, TruncatedShardFileIsRejectedAtOpen) {
 }
 
 TEST_F(ShardTest, CorruptShardPageAbortsOnPin) {
+  // The store's prefetch thread is alive when EXPECT_DEATH forks. Re-run
+  // the test in a fresh process instead, so the child cannot inherit the
+  // pool mutex that thread may hold at the fork and block on it forever.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = BarabasiAlbert(100, 3, 37);
   const std::string dir = TempDirFor("badpage");
   ASSERT_TRUE(WriteGraphShards(g, dir, 3));
