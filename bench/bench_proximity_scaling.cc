@@ -13,6 +13,10 @@
 // warm = validated load from disk, plus the cold/warm ratio. The warm path
 // is what repeated trainer runs and the bench/ sweep family hit.
 //
+// The `digests_identical` record is 1 only if each preference gives one
+// digest at every thread count and from the warm cache; the bench exits 1
+// otherwise.
+//
 // High-order options are reduced (Katz L=2, PPR 3 iterations) so the bench
 // finishes in minutes at 100k nodes: per-source cost, not series depth, is
 // what the engine parallelises, so speedups transfer to deeper settings.
@@ -22,6 +26,7 @@
 //   SEPRIV_BENCH_DEGREE    BA attachment per node  (default 5)
 //   SEPRIV_BENCH_PPR_ITERS PPR power iterations    (default 3)
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +37,7 @@
 
 #include "bench/bench_json.h"
 #include "graph/generators.h"
+#include "linalg/simd/cpu_features.h"
 #include "proximity/proximity_engine.h"
 #include "util/digest.h"
 #include "util/env.h"
@@ -107,7 +113,16 @@ int main(int argc, char** argv) {
   bench::BenchJson json("bench_proximity_scaling");
   json.AddMeta("nodes", std::to_string(nodes));
   json.AddMeta("edges", std::to_string(graph.num_edges()));
+  json.AddMeta("degree", std::to_string(degree));
+  json.AddMeta("ppr_iters", std::to_string(ppr_iters));
+  json.AddMeta("hardware_threads",
+               std::to_string(ThreadPool::ResolveThreads(0)));
+  json.AddMeta("cpu_features", simd::CpuFeatureString());
+  json.AddMeta("simd_active", simd::LevelName(simd::ActiveLevel()));
 
+  // Every digest each preference produced: 1/2/4/8 threads, then the warm
+  // cache load.
+  std::vector<std::vector<uint64_t>> digests(kinds.size());
   std::vector<double> cold_times(kinds.size(), 0.0);
   for (size_t k = 0; k < kinds.size(); ++k) {
     const auto provider = MakeProximity(kinds[k], graph, opts);
@@ -120,6 +135,7 @@ int main(int argc, char** argv) {
       if (threads == 1) base_time = secs;
       if (threads == 4) cold_times[k] = secs;
       const uint64_t digest = ProximityDigest(ep);
+      digests[k].push_back(digest);
       std::printf("%-18s %-8zu %12.3f %14.0f %9.2fx %18" PRIx64 "\n",
                   ProximityKindName(kinds[k]).c_str(), threads, secs,
                   static_cast<double>(graph.num_edges()) / secs,
@@ -137,8 +153,6 @@ int main(int argc, char** argv) {
                        static_cast<double>(digest & 0xffffffffULL)}});
     }
   }
-  std::printf("# digests must be identical per preference: the engine is "
-              "bit-identical across thread counts\n");
 
   std::printf("\n== persistent cache (dir: %s) ==\n", cache_dir.c_str());
   std::printf("%-18s %12s %12s %10s %18s\n", "preference", "cold_s",
@@ -155,6 +169,7 @@ int main(int argc, char** argv) {
         CachedEdgeProximities(graph, *provider, opts, threads, cache_dir);
     const double warm_s = warm_timer.ElapsedSeconds();
     const bool identical = ProximityDigest(cold) == ProximityDigest(warm);
+    digests[k].push_back(ProximityDigest(warm));
     std::printf("%-18s %12.3f %12.4f %9.1fx %18" PRIx64 "%s\n",
                 ProximityKindName(kinds[k]).c_str(), cold_s, warm_s,
                 cold_s / warm_s, ProximityDigest(warm),
@@ -169,9 +184,18 @@ int main(int argc, char** argv) {
               "compute + save\n");
   std::error_code ec;
   std::filesystem::remove_all(cache_dir, ec);
+
+  const bool identical =
+      std::all_of(digests.begin(), digests.end(), [](const auto& d) {
+        return std::equal(d.begin() + 1, d.end(), d.begin());
+      });
+  std::printf("# digests identical across thread counts and the warm "
+              "cache: %s\n",
+              identical ? "yes" : "NO");
+  json.AddRecord("digests_identical", {{"value", identical ? 1.0 : 0.0}});
   if (const char* path = bench::JsonPathFromArgs(argc, argv)) {
     // sepriv-privflow: allow(leak): public-by-policy: publishes the aggregate-metric records collected above
     if (json.Write(path)) std::printf("# wrote %s\n", path);
   }
-  return 0;
+  return identical ? 0 : 1;
 }

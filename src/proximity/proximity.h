@@ -45,9 +45,11 @@ struct ProximityOptions {
 };
 
 /// Read-only proximity oracle over a fixed graph. Implementations may cache
-/// the most recent source row, so At() is cheap when queried grouped by i
-/// (the edge-list iteration order). A single instance is not thread-safe;
-/// parallel callers give each worker its own Clone().
+/// per-source state for the most recent source i, so At() is cheap when
+/// queried grouped by i (the edge-list iteration order). That state need not
+/// be a full row: the exact walk providers keep all but the last walk step
+/// and finish it per query. A single instance is not thread-safe; parallel
+/// callers give each worker its own Clone().
 class ProximityProvider {
  public:
   virtual ~ProximityProvider() = default;
@@ -67,8 +69,8 @@ class ProximityProvider {
   virtual double At(NodeId i, NodeId j) const = 0;
 
   /// Fresh provider over the same graph with identical parameters and an
-  /// empty row cache. Each worker of ComputeShardProximities owns a private
-  /// clone, so the (mutable, non-thread-safe) row caches never race.
+  /// empty per-source cache. Each worker of ComputeShardProximities owns a
+  /// private clone, so the (mutable, non-thread-safe) caches never race.
   virtual std::unique_ptr<ProximityProvider> Clone() const = 0;
 
   /// Symmetric proximity (At(i,j) + At(j,i)) / 2.

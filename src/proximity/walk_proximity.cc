@@ -6,6 +6,11 @@
 #include "util/check.h"
 
 namespace sepriv {
+namespace {
+
+constexpr uint32_t kNoRank = ~uint32_t{0};  // not in the deferred frontier
+
+}  // namespace
 
 RowCachedProximity::RowCachedProximity(const Graph& graph)
     : graph_(graph), row_(graph.num_nodes(), 0.0) {
@@ -16,23 +21,68 @@ double RowCachedProximity::At(NodeId i, NodeId j) const {
   SEPRIV_CHECK(i < graph_.num_nodes() && j < graph_.num_nodes(),
                "node out of range: (%u,%u) vs |V|=%zu", i, j,
                graph_.num_nodes());
-  if (!has_cache_ || cached_source_ != i) {
-    ClearRow();
-    ComputeRow(i);
-    cached_source_ = i;
-    has_cache_ = true;
-  }
-  return row_[j];
+  if (!has_cache_ || cached_source_ != i) SwitchRow(i);
+  if (!deferred_) return row_[j];
+  return row_[j] + last_scale_ * PullLastStep(j);
 }
 
-void RowCachedProximity::ClearRow() const {
-  // Sparse clear: only reset what the previous row touched.
+void RowCachedProximity::SwitchRow(NodeId source) const {
   if (touched_.size() > row_.size() / 4) {
     std::fill(row_.begin(), row_.end(), 0.0);
   } else {
-    for (NodeId j : touched_) row_[j] = 0.0;
+    for (NodeId j : touched_) row_[j] = 0.0;  // sparse clear
   }
   touched_.clear();
+  if (ranked_) {
+    for (NodeId k : scratch_.cur_nz) frontier_rank_[k] = kNoRank;
+    ranked_ = false;
+  }
+  deferred_ = false;
+  scratch_.Reset();
+  ComputeRow(source);
+  cached_source_ = source;
+  has_cache_ = true;
+}
+
+void RowCachedProximity::DeferLastStep(double scale) const {
+  const std::vector<NodeId>& frontier = scratch_.cur_nz;
+  ranked_ = !std::is_sorted(frontier.begin(), frontier.end());
+  if (ranked_) {
+    if (frontier_rank_.empty()) {
+      frontier_rank_.assign(graph_.num_nodes(), kNoRank);
+    }
+    for (size_t r = 0; r < frontier.size(); ++r) {
+      frontier_rank_[frontier[r]] = static_cast<uint32_t>(r);
+    }
+  }
+  last_scale_ = scale;
+  deferred_ = true;
+}
+
+double RowCachedProximity::PullLastStep(NodeId j) const {
+  const std::vector<NodeId>& frontier = scratch_.cur_nz;
+  const std::vector<double>& term = scratch_.cur;  // +0.0 off the frontier
+  const auto nbrs = graph_.Neighbors(j);
+  double sum = 0.0;
+  if (frontier.size() < nbrs.size()) {
+    for (NodeId k : frontier) {
+      if (graph_.HasEdge(k, j)) sum += term[k];
+    }
+    return sum;
+  }
+  if (!ranked_) {
+    // An ascending frontier meets the ascending N(j) in push order, and the
+    // +0.0 term of every other neighbour leaves the sum unchanged.
+    for (NodeId k : nbrs) sum += term[k];
+    return sum;
+  }
+  hits_.clear();
+  for (NodeId k : nbrs) {
+    if (frontier_rank_[k] != kNoRank) hits_.push_back(frontier_rank_[k]);
+  }
+  std::sort(hits_.begin(), hits_.end());
+  for (uint32_t r : hits_) sum += term[frontier[r]];
+  return sum;
 }
 
 void RowCachedProximity::PushScratch::Reset() {
@@ -64,13 +114,14 @@ std::string KatzProximity::Name() const {
 }
 
 void KatzProximity::ComputeRow(NodeId source) const {
-  // cur holds (A^l)_source as a sparse vector over a dense scratch.
+  // cur holds (A^l)_source as a sparse vector over a dense scratch. Steps
+  // 1..L-1 go into the row; step L is pulled by At(), with term cur[k].
   PushScratch& scratch = Scratch();
   auto& [cur, next, cur_nz, next_nz] = scratch;
   cur[source] = 1.0;
   cur_nz.push_back(source);
   double beta_pow = 1.0;
-  for (int l = 1; l <= max_length_; ++l) {
+  for (int l = 1; l < max_length_; ++l) {
     beta_pow *= beta_;
     for (NodeId k : cur_nz) {
       const double mass = cur[k];
@@ -88,7 +139,8 @@ void KatzProximity::ComputeRow(NodeId source) const {
     cur.swap(next);
     next_nz.clear();
   }
-  scratch.Reset();
+  beta_pow *= beta_;
+  DeferLastStep(beta_pow);
 }
 
 // --- Personalized PageRank ---------------------------------------------------
@@ -139,7 +191,6 @@ void PersonalizedPageRankProximity::ComputeRow(NodeId source) const {
       Touch(u);
     }
   }
-  scratch.Reset();
 }
 
 // --- DeepWalk (exact) --------------------------------------------------------
@@ -156,12 +207,14 @@ std::string DeepWalkProximity::Name() const {
 }
 
 void DeepWalkProximity::ComputeRow(NodeId source) const {
+  // Steps 1..T-1 go into the row; step T is pulled by At(), with term
+  // cur[k] / d_k.
   PushScratch& scratch = Scratch();
   auto& [cur, next, cur_nz, next_nz] = scratch;
   cur[source] = 1.0;
   cur_nz.push_back(source);
   const double inv_t = 1.0 / static_cast<double>(window_);
-  for (int w = 1; w <= window_; ++w) {
+  for (int w = 1; w < window_; ++w) {
     for (NodeId k : cur_nz) {
       const size_t deg = graph_.Degree(k);
       if (deg == 0) {
@@ -183,7 +236,12 @@ void DeepWalkProximity::ComputeRow(NodeId source) const {
     cur_nz.swap(next_nz);
     next_nz.clear();
   }
-  scratch.Reset();
+  // An isolated node is in no N(j), so its term is never read.
+  for (NodeId k : cur_nz) {
+    const size_t deg = graph_.Degree(k);
+    if (deg != 0) cur[k] /= static_cast<double>(deg);
+  }
+  DeferLastStep(inv_t);
 }
 
 // --- DeepWalk (sampled) ------------------------------------------------------

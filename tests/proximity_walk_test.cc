@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -204,6 +207,22 @@ const GoldenCase kGoldenCases[] = {
      0x60f7779fb4c69359ULL},
 };
 
+// The shortest walks, where the pulled last step is all of the row (DeepWalk
+// T=1) or half of its steps (Katz L=2). Recorded while every step was still
+// pushed into the row, so they pin the pulled step to the pushed one.
+const GoldenCase kShortWalkGoldenCases[] = {
+    {"deepwalk(T=1)",
+     [](const Graph& g) -> std::unique_ptr<ProximityProvider> {
+       return std::make_unique<DeepWalkProximity>(g, 1);
+     },
+     0x52c430953a794e1eULL},
+    {"katz(L=2)",
+     [](const Graph& g) -> std::unique_ptr<ProximityProvider> {
+       return std::make_unique<KatzProximity>(g, 2, 0.05);
+     },
+     0xcaf70f2127a668aeULL},
+};
+
 // Hub-heavy fixture: a few hubs whose rows reach most of the graph within
 // two steps, and a long tail of degree-5 leaves.
 Graph HubHeavyGraph() { return PowerLawCluster(2000, 5, 0.3, /*seed=*/12); }
@@ -222,6 +241,17 @@ uint64_t EdgeProximityDigest(const EdgeProximity& ep) {
 TEST(WalkProximityGoldenTest, EdgeProximityDigestsArePinned) {
   const Graph g = HubHeavyGraph();
   for (const GoldenCase& c : kGoldenCases) {
+    const auto provider = c.make(g);
+    const uint64_t digest =
+        EdgeProximityDigest(ComputeEdgeProximities(g, *provider));
+    EXPECT_EQ(digest, c.digest)
+        << c.label << ": got 0x" << std::hex << digest << "ULL";
+  }
+}
+
+TEST(WalkProximityGoldenTest, ShortWalkDigestsArePinned) {
+  const Graph g = HubHeavyGraph();
+  for (const GoldenCase& c : kShortWalkGoldenCases) {
     const auto provider = c.make(g);
     const uint64_t digest =
         EdgeProximityDigest(ComputeEdgeProximities(g, *provider));
@@ -259,6 +289,107 @@ TEST(WalkProximityGoldenTest, ReusedInstanceMatchesFreshRows) {
       for (NodeId j = 0; j < n; ++j) {
         ASSERT_EQ(reused->At(i, j), fresh->At(i, j))
             << c.label << " row " << i << " col " << j;
+      }
+    }
+  }
+}
+
+// The exact walk row with every step pushed: each step spreads the frontier
+// into a dense next[] in push order, then adds scale · next[u] to the row.
+// The providers push only the first L-1 steps and At() pulls the last; this
+// full push is the reference the pull must match bit for bit.
+enum class Walk { kDeepWalk, kKatz };
+
+std::vector<double> PushedRow(const Graph& g, Walk walk, int steps,
+                              double beta, NodeId source) {
+  const size_t n = g.num_nodes();
+  std::vector<double> row(n, 0.0), cur(n, 0.0), next(n, 0.0);
+  std::vector<NodeId> cur_nz = {source}, next_nz;
+  cur[source] = 1.0;
+  const double inv_t = 1.0 / static_cast<double>(steps);
+  double beta_pow = 1.0;
+  for (int l = 1; l <= steps; ++l) {
+    beta_pow *= beta;
+    for (NodeId k : cur_nz) {
+      const size_t deg = g.Degree(k);
+      const double push = walk == Walk::kDeepWalk && deg > 0
+                              ? cur[k] / static_cast<double>(deg)
+                              : cur[k];
+      for (NodeId u : g.Neighbors(k)) {
+        if (next[u] == 0.0) next_nz.push_back(u);
+        next[u] += push;
+      }
+      cur[k] = 0.0;
+    }
+    const double scale = walk == Walk::kDeepWalk ? inv_t : beta_pow;
+    for (NodeId u : next_nz) row[u] += scale * next[u];
+    cur.swap(next);
+    cur_nz.swap(next_nz);
+    next_nz.clear();
+  }
+  return row;
+}
+
+// A hub-heavy graph, a star, a path, and a graph with an isolated node. The
+// star and the power-law graph make both pull branches run: walking the
+// frontier (a short frontier against a hub's N(j)) and walking N(j) (with and
+// without the sort back into push order, at T = 2 and T >= 3).
+std::vector<std::pair<const char*, Graph>> PullFixtures() {
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("powerlaw", PowerLawCluster(300, 5, 0.3, /*seed=*/3));
+  graphs.emplace_back("star", StarGraph(40));
+  graphs.emplace_back("path", PathGraph(30));
+  const Graph ba = BarabasiAlbert(60, 2, /*seed=*/5);
+  graphs.emplace_back("isolated", Graph::FromEdges(61, ba.Edges()));
+  return graphs;
+}
+
+// Sources hub, leaf, isolated (when the graph has one), hub, then every node:
+// one reused instance sees a row switch after each, so a term or frontier
+// rank left over from the previous source would change a later value.
+std::vector<NodeId> PullSourceOrder(const Graph& g) {
+  NodeId hub = 0, leaf = 0;
+  std::optional<NodeId> isolated;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const size_t d = g.Degree(v);
+    if (d > g.Degree(hub)) hub = v;
+    if (d > 0 && (g.Degree(leaf) == 0 || d < g.Degree(leaf))) leaf = v;
+    if (d == 0 && !isolated) isolated = v;
+  }
+  std::vector<NodeId> order = {hub, leaf};
+  if (isolated) order.push_back(*isolated);
+  order.push_back(hub);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) order.push_back(v);
+  return order;
+}
+
+TEST(WalkProximityPullTest, PulledLastStepMatchesPushedRowBitForBit) {
+  constexpr double kBeta = 0.05;
+  for (const auto& [label, g] : PullFixtures()) {
+    const std::vector<NodeId> order = PullSourceOrder(g);
+    for (int steps = 1; steps <= 4; ++steps) {
+      for (Walk walk : {Walk::kDeepWalk, Walk::kKatz}) {
+        std::unique_ptr<ProximityProvider> provider;
+        if (walk == Walk::kDeepWalk) {
+          provider = std::make_unique<DeepWalkProximity>(g, steps);
+        } else {
+          provider = std::make_unique<KatzProximity>(g, steps, kBeta);
+        }
+        size_t mismatches = 0;
+        for (NodeId i : order) {
+          const std::vector<double> want = PushedRow(g, walk, steps, kBeta, i);
+          for (NodeId j = 0; j < g.num_nodes(); ++j) {
+            const double got = provider->At(i, j);
+            if (std::bit_cast<uint64_t>(got) !=
+                    std::bit_cast<uint64_t>(want[j]) &&
+                ++mismatches <= 3) {
+              ADD_FAILURE() << label << " " << provider->Name() << " At("
+                            << i << "," << j << ") = " << got << ", pushed "
+                            << want[j];
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << label << " " << provider->Name();
       }
     }
   }
