@@ -90,8 +90,9 @@ bool ShardHaloOracle::HasEdge(NodeId u, NodeId v) const {
   const auto it = std::lower_bound(halo_nodes_.begin(), halo_nodes_.end(), u);
   SEPRIV_DCHECK(it != halo_nodes_.end() && *it == u);
   const auto i = static_cast<size_t>(it - halo_nodes_.begin());
-  return std::binary_search(halo_adj_.data() + halo_offsets_[i],
-                            halo_adj_.data() + halo_offsets_[i + 1], v);
+  const NodeId* adj = halo_adj_.data();
+  return SortedContains({adj + halo_offsets_[i], adj + halo_offsets_[i + 1]},
+                        v);
 }
 
 SubgraphGenerator::SubgraphGenerator(const AdjacencyOracle& oracle,

@@ -17,6 +17,10 @@
 // Algorithm 1 stays one serial pass on one stream: the draws an edge
 // consumes depend on its adjacency probes (rejections, the reservoir
 // fallback), so edge e's first draw is not known before edges 0..e-1 ran.
+// Its cost is one RNG step per draw plus, per probe, one branch-free
+// SortedContains over the center's row (or one bitset word when the center
+// owns a bitset). The probes, not the stream, dominate: a compare branch on
+// a random candidate mispredicts at every level of the search.
 
 #ifndef SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
 #define SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
@@ -98,13 +102,19 @@ class AdjacencyOracle {
   virtual bool HasEdge(NodeId u, NodeId v) const = 0;
 };
 
-/// Oracle over a resident Graph.
+/// Oracle over a resident Graph. Answers from the center's bitset when the
+/// center owns one, and otherwise searches the center's row, not the smaller
+/// one as Graph::HasEdge does: an edge's k probes share the center's row,
+/// and the scan visits edges sorted by u, so for the half of the edges
+/// centered at u that row is already in cache. The smaller row is usually
+/// the random candidate's, a cache miss per probe. Same answers either way.
 class GraphAdjacencyOracle final : public AdjacencyOracle {
  public:
   explicit GraphAdjacencyOracle(const Graph& graph) : graph_(graph) {}
   size_t num_nodes() const override { return graph_.num_nodes(); }
   bool HasEdge(NodeId u, NodeId v) const override {
-    return graph_.HasEdge(u, v);
+    if (graph_.HasMembershipBitset(u)) return graph_.HasEdge(u, v);
+    return SortedContains(graph_.Neighbors(u), v);
   }
 
  private:

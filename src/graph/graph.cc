@@ -62,7 +62,7 @@ void Graph::BuildMembershipAccelerator() {
   bitset_start_.clear();
   bitset_words_.clear();
   if (n < 2) return;
-  // Degree threshold max(64, n/64): below 64 the binary search is a handful
+  // Degree threshold max(64, n/64): below 64 the row search is a handful
   // of cache-resident probes anyway; the relative term caps total memory at
   // 2|E|/(n/64) rows x n/8 bytes = 16|E| bytes.
   const size_t threshold = std::max<size_t>(64, n / 64);
@@ -75,7 +75,7 @@ void Graph::BuildMembershipAccelerator() {
       total_words > static_cast<size_t>(UINT32_MAX)) {
     // Nothing qualifies, or the word offsets would overflow their 32-bit
     // index (a graph far beyond this library's documented scale) — fall
-    // back to binary search everywhere.
+    // back to SortedContains everywhere.
     return;
   }
   bitset_row_words_ = row_words;
@@ -114,8 +114,7 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
   }
   // Both endpoints are low-degree: search the smaller adjacency list.
   if (Degree(u) > Degree(v)) std::swap(u, v);
-  const auto nbrs = Neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  return SortedContains(Neighbors(u), v);
 }
 
 size_t Graph::CommonNeighborCount(NodeId u, NodeId v) const {

@@ -4,7 +4,9 @@
 // graph is constructed once from an edge list (self-loops removed,
 // duplicates merged, endpoints symmetrised) and then queried read-only:
 // neighbour spans, degrees, O(log d) adjacency tests, and the canonical
-// edge list (i < j) that Algorithm 1 samples from.
+// edge list (i < j) that Algorithm 1 samples from. SortedContains is the
+// one sorted-row membership search; every adjacency test in the library
+// that reads a row (Graph, ShardView, Algorithm 1's oracles) runs it.
 
 #ifndef SEPRIVGEMB_GRAPH_GRAPH_H_
 #define SEPRIVGEMB_GRAPH_GRAPH_H_
@@ -21,6 +23,27 @@ namespace sepriv {
 
 /// Node identifier; graphs in the paper's evaluation reach 2.24M nodes.
 using NodeId = uint32_t;
+
+/// Whether `v` occurs in `row`, which must be ascending (every CSR row is).
+/// Returns exactly what std::binary_search(row.begin(), row.end(), v)
+/// returns, after ceil(log2 |row|) halving steps and one final compare. The
+/// search is branch-free: each step moves the probe by a conditional
+/// select, so a random `v` costs no mispredicted branch. The only branch
+/// left is the loop exit, which depends on |row| alone.
+inline bool SortedContains(std::span<const NodeId> row, NodeId v) {
+  if (row.empty()) return false;
+  // Invariant: the first element >= v has index in [lo, lo + n], and lo + n
+  // only when that is row.size(); so once n = 1 the answer is row[lo]. The
+  // select is on an index, not a pointer: gcc turns this form into a cmov.
+  const NodeId* p = row.data();
+  size_t lo = 0;
+  for (size_t n = row.size(); n > 1;) {
+    const size_t half = n / 2;
+    lo = p[lo + half - 1] < v ? lo + half : lo;
+    n -= half;
+  }
+  return p[lo] == v;
+}
 
 /// Undirected edge with canonical ordering u < v.
 struct Edge {
@@ -58,15 +81,18 @@ class Graph {
   size_t MaxDegree() const;
 
   /// Adjacency test: O(1) when either endpoint is a high-degree node (its
-  /// row carries a packed membership bitset, see below), O(log min-degree)
-  /// binary search otherwise. Sits in every negative-sampling rejection
-  /// loop and in the link-prediction non-edge draw, where the hot queries
-  /// are exactly the high-degree rows the bitsets cover.
+  /// row carries a packed membership bitset, see below), otherwise a
+  /// branch-free SortedContains over the smaller of the two rows,
+  /// O(log min-degree). Its hot callers (the walk proximities' last-step
+  /// pull, link prediction's non-edge draw, the baselines) probe pairs that
+  /// repeat no endpoint, so the smaller row is the cheaper one to read.
   SEPRIV_SENSITIVE_SOURCE
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// True when node v owns a membership bitset (exposed for tests and the
-  /// HasEdge microbench; callers never need to branch on this themselves).
+  /// True when node v owns a membership bitset. HasEdge branches on it
+  /// internally; GraphAdjacencyOracle also branches on it, to answer from
+  /// the center's bitset when it has one and search the center's row
+  /// otherwise. Exposed for those and for tests and the HasEdge microbench.
   bool HasMembershipBitset(NodeId v) const {
     return !bitset_start_.empty() && bitset_start_[v] != kNoBitset;
   }
@@ -125,9 +151,9 @@ class Graph {
 
   // Per-node membership accelerator: rows with degree >= max(64, |V|/64)
   // own a packed bitset over V (ceil(|V|/64) words each) inside
-  // bitset_words_, located via bitset_start_ (kNoBitset = plain binary
-  // search). At that threshold at most 2|E|/(|V|/64) rows qualify, so the
-  // accelerator never exceeds ~16 bytes per edge; the vectors are empty
+  // bitset_words_, located via bitset_start_ (kNoBitset = SortedContains
+  // over the row). At that threshold at most 2|E|/(|V|/64) rows qualify, so
+  // the accelerator never exceeds ~16 bytes per edge; the vectors are empty
   // when no row qualifies. Not part of Fingerprint(): the digest covers the
   // CSR arrays, which fully determine the accelerator.
   static constexpr uint32_t kNoBitset = UINT32_MAX;

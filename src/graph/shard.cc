@@ -75,8 +75,7 @@ size_t ShardManifest::ShardOfNode(NodeId v) const {
 
 bool ShardView::HasEdge(NodeId u, NodeId x) const {
   if (u == x) return false;
-  const auto row = Neighbors(u);
-  return std::binary_search(row.begin(), row.end(), x);
+  return SortedContains(Neighbors(u), x);
 }
 
 uint64_t ShardFingerprint(const ShardView& view) {

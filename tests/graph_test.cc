@@ -7,7 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "embedding/subgraph_sampler.h"
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace sepriv {
 namespace {
@@ -201,6 +203,45 @@ TEST(ToyGraphTest, KarateClubCanonicalSize) {
 
 // --- Membership accelerator (O(1) HasEdge fast path) ------------------------
 
+// Ascending rows of every length 0..70, some holding the extreme ids 0 and
+// UINT32_MAX: SortedContains must answer as std::binary_search does for
+// every element, both its neighbours, and both extremes.
+TEST(SortedContainsTest, MatchesBinarySearchOnAscendingRows) {
+  Rng rng(2024);
+  for (size_t len = 0; len <= 70; ++len) {
+    // Shape 0: gaps of 1..3 from a random start. Shapes 1..4: random ids,
+    // with 0 (shape 2), UINT32_MAX (shape 3) or both (shape 4) pinned in.
+    for (int shape = 0; shape < 5; ++shape) {
+      std::vector<NodeId> row;
+      if (shape == 0) {
+        auto x = static_cast<NodeId>(rng.UniformInt(1000));
+        for (size_t i = 0; i < len; ++i) {
+          row.push_back(x);
+          x += static_cast<NodeId>(1 + rng.UniformInt(3));
+        }
+      } else {
+        std::set<NodeId> ids;
+        if ((shape == 2 || shape == 4) && ids.size() < len) ids.insert(0);
+        if ((shape == 3 || shape == 4) && ids.size() < len)
+          ids.insert(UINT32_MAX);
+        while (ids.size() < len) ids.insert(static_cast<NodeId>(rng.Next()));
+        row.assign(ids.begin(), ids.end());
+      }
+      std::vector<NodeId> probes = {0, UINT32_MAX};
+      for (NodeId x : row) {
+        probes.push_back(x - 1);
+        probes.push_back(x);
+        probes.push_back(x + 1);
+      }
+      for (NodeId v : probes) {
+        ASSERT_EQ(SortedContains(row, v),
+                  std::binary_search(row.begin(), row.end(), v))
+            << "len " << len << " shape " << shape << " v " << v;
+      }
+    }
+  }
+}
+
 TEST(MembershipAcceleratorTest, SmallGraphsHaveNoBitsets) {
   // Below the degree threshold (max(64, n/64)) every row stays on the
   // binary-search path.
@@ -238,9 +279,13 @@ TEST(MembershipAcceleratorTest, AgreesWithEdgeListEverywhere) {
     if (u == v) return false;
     return edge_set.count({std::min(u, v), std::max(u, v)}) > 0;
   };
+  // Algorithm 1's oracle searches the first argument's row (or its bitset)
+  // instead of the smaller row; it must give the same answers.
+  const GraphAdjacencyOracle oracle(g);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(g.HasEdge(u, v), brute(u, v)) << u << "," << v;
+      ASSERT_EQ(oracle.HasEdge(u, v), brute(u, v)) << u << "," << v;
     }
   }
 }

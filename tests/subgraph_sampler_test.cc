@@ -8,6 +8,7 @@
 
 #include "core/batch_gradient_engine.h"
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace sepriv {
 namespace {
@@ -298,16 +299,21 @@ size_t ExpectTableMatchesGenerator(const Graph& g, int k, uint64_t seed,
   return max_probes;
 }
 
-// K_100 minus a perfect matching: every center has one valid negative, so
-// rejection fails its 256 tries ~8% of the time and the reservoir scan
-// runs. With k = 1 an edge that probes more than 256 times took the scan.
-TEST(SubgraphTableTest, RowsMatchGeneratorThroughReservoirFallback) {
-  const size_t n = 100;
+/// K_n minus the perfect matching {(0,1), (2,3), ...}: every center has
+/// exactly one valid negative.
+Graph CompleteMinusMatching(size_t n) {
   std::vector<Edge> edges;
   for (NodeId u = 0; u < n; ++u)
     for (NodeId v = u + 1; v < n; ++v)
       if (!(u % 2 == 0 && v == u + 1)) edges.push_back({u, v});
-  const Graph g = Graph::FromEdges(n, std::move(edges));
+  return Graph::FromEdges(n, std::move(edges));
+}
+
+// K_100 minus a perfect matching: rejection fails its 256 tries ~8% of the
+// time and the reservoir scan runs. With k = 1 an edge that probes more than
+// 256 times took the scan.
+TEST(SubgraphTableTest, RowsMatchGeneratorThroughReservoirFallback) {
+  const Graph g = CompleteMinusMatching(100);
   const size_t max_probes = ExpectTableMatchesGenerator(
       g, 1, 29, EdgeOrientation::kRandom, /*exclude_neighbors=*/true);
   EXPECT_GT(max_probes, 256u);
@@ -318,6 +324,66 @@ TEST(SubgraphTableTest, RowsMatchGeneratorWithoutNeighborExclusion) {
   const size_t max_probes = ExpectTableMatchesGenerator(
       g, 5, 31, EdgeOrientation::kRandom, /*exclude_neighbors=*/false);
   EXPECT_EQ(max_probes, 0u);  // no adjacency test, so no probe
+}
+
+/// HashMix over every cell of the table, row by row: center, context, then
+/// the negatives.
+uint64_t TableDigest(const SubgraphTable& table) {
+  uint64_t h = 0;
+  for (size_t e = 0; e < table.size(); ++e) {
+    const SubgraphTable::Row row = table[e];
+    h = HashMix(HashMix(h, row.center), row.context);
+    for (NodeId n : row.negatives) h = HashMix(h, n);
+  }
+  return h;
+}
+
+struct GsGoldenCase {
+  const char* label;
+  Graph (*make)();
+  int negatives;
+  uint64_t seed;
+  bool exclude_neighbors;
+  uint64_t digest;
+};
+
+// Algorithm 1's whole output on fixed graphs and seeds. The table tests
+// above compare the sampler with a generator over Graph::HasEdge, so a
+// search bug both share would pass them; these digests were recorded while
+// every membership test was still std::binary_search over the smaller row.
+const GsGoldenCase kGsGoldenCases[] = {
+    {"ba(3000,5)", [] { return BarabasiAlbert(3000, 5, /*seed=*/3); }, 5, 17,
+     true, 0x2f02e82ca7362ed9ULL},
+    {"ba(3000,5) any negative",
+     [] { return BarabasiAlbert(3000, 5, /*seed=*/3); }, 5, 17, false,
+     0x1c0484f7bf487aebULL},
+    {"plc(3000,5,0.3)",
+     [] { return PowerLawCluster(3000, 5, 0.3, /*seed=*/4); }, 5, 19, true,
+     0xffe92ff15adbeb37ULL},
+    {"plc(3000,5,0.3) any negative",
+     [] { return PowerLawCluster(3000, 5, 0.3, /*seed=*/4); }, 5, 19, false,
+     0x364e853111683291ULL},
+    {"k100 minus matching", [] { return CompleteMinusMatching(100); }, 1, 29,
+     true, 0xfa798f47a63d9fc4ULL},
+    {"ba(300,6) hubs", [] { return BarabasiAlbert(300, 6, /*seed=*/42); }, 5,
+     23, true, 0x8061f078c3538931ULL},
+};
+
+TEST(SubgraphTableTest, GsDigestsArePinned) {
+  size_t bitset_centers = 0;
+  for (const GsGoldenCase& c : kGsGoldenCases) {
+    const Graph g = c.make();
+    const SubgraphSampler sampler(g, c.negatives, c.seed,
+                                  EdgeOrientation::kRandom,
+                                  c.exclude_neighbors);
+    const uint64_t digest = TableDigest(sampler.All());
+    EXPECT_EQ(digest, c.digest)
+        << c.label << ": got 0x" << std::hex << digest << "ULL";
+    for (size_t e = 0; e < sampler.size(); ++e)
+      bitset_centers += g.HasMembershipBitset(sampler.All()[e].center);
+  }
+  // Some center owns a bitset, so the oracle's bitset answer ran too.
+  EXPECT_GT(bitset_centers, 0u);
 }
 
 }  // namespace
