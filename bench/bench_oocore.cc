@@ -2,9 +2,9 @@
 //
 // Builds a Barabási–Albert graph, shards it to an SSD-resident page file,
 // and runs the full private trainer twice: the classic in-memory path
-// (SePrivGEmb::Train) and the out-of-core path (TrainOutOfCore) paging the
-// graph through a buffer pool whose budget is a small fraction — at least
-// 8× smaller — of the on-disk graph. The headline record,
+// (SePrivGEmb::Train) and the out-of-core path (TryTrainOutOfCore) paging
+// the graph through a buffer pool whose budget is a small fraction — at
+// least 8× smaller — of the on-disk graph. The headline record,
 // "oocore/digests_identical", witnesses that the two models are
 // BIT-IDENTICAL (Win/Wout digests and the loss curve), for every shard
 // count and pool budget in the sweep. Throughput, buffer-pool hit/miss
@@ -37,6 +37,7 @@
 #include "linalg/simd/cpu_features.h"
 #include "util/digest.h"
 #include "util/env.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -134,8 +135,9 @@ int main(int argc, char** argv) {
       ooc.sample_pool_pages = budget;
 
       WallTimer timer;
-      const TrainResult got = TrainOutOfCore(
-          *store, ProximityKind::kPreferentialAttachment, cfg, ooc);
+      TrainResult got;
+      SEPRIV_CHECK_OK(TryTrainOutOfCore(
+          *store, ProximityKind::kPreferentialAttachment, cfg, ooc, &got));
       const double secs = timer.ElapsedSeconds();
 
       const bool identical = MatrixDigest(got.model.w_in) == ref_in &&
@@ -167,9 +169,8 @@ int main(int argc, char** argv) {
                       {"identical", identical ? 1.0 : 0.0},
                       {"pool_hits", static_cast<double>(stats.hits)},
                       {"pool_misses", static_cast<double>(stats.misses)},
-                      {"pool_evictions", static_cast<double>(stats.evictions)},
-                      {"prefetch_loads",
-                       static_cast<double>(stats.prefetch_loads)}});
+                      {"pool_evictions",
+                       static_cast<double>(stats.evictions)}});
     }
   }
 

@@ -288,21 +288,6 @@ SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
   }
 }
 
-SePrivGEmb::SePrivGEmb(const Graph& graph, EdgeProximity&& preference,
-                       const SePrivGEmbConfig& config)
-    : graph_(graph), config_(config) {
-  SEPRIV_CHECK(preference.values.size() == graph.num_edges(),
-               "edge proximity size %zu != |E| %zu", preference.values.size(),
-               graph.num_edges());
-  if (config_.normalize_proximity) {
-    owned_weights_ = std::move(preference.normalized);
-    min_weight_ = preference.normalized_min_positive;
-  } else {
-    owned_weights_ = std::move(preference.values);
-    min_weight_ = preference.min_positive;
-  }
-}
-
 SePrivGEmb::SePrivGEmb(const Graph& graph, const EdgeProximity& preference,
                        const SePrivGEmbConfig& config)
     : graph_(graph), config_(config) {
@@ -396,18 +381,6 @@ Status SePrivGEmb::TrainInternal(const TrainCheckpointOptions* ckpt,
   return OkStatus();
 }
 
-TrainResult TrainOutOfCore(GraphStore& store, ProximityKind preference,
-                           const SePrivGEmbConfig& config,
-                           const OutOfCoreTrainOptions& ooc,
-                           const ProximityOptions& prox_opts) {
-  TrainResult result;
-  const Status status =
-      TryTrainOutOfCore(store, preference, config, ooc, &result, prox_opts);
-  SEPRIV_CHECK(status.ok(), "out-of-core training failed: %s",
-               status.ToString().c_str());
-  return result;
-}
-
 Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
                          const SePrivGEmbConfig& config,
                          const OutOfCoreTrainOptions& ooc, TrainResult* out,
@@ -444,7 +417,6 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   // bounded recovery surface as structured errors from here on.
   std::vector<double> degrees(n, 0.0);
   for (size_t s = 0; s < num_shards; ++s) {
-    if (s + 1 < num_shards) store.Prefetch(s + 1);
     PinnedShard pin;
     SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
     for (NodeId u = pin->node_begin; u < pin->node_end; ++u) {
@@ -458,7 +430,6 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   // more than one shard's edge table.
   ProximityFinalizer fin;
   for (size_t s = 0; s < num_shards; ++s) {
-    if (s + 1 < num_shards) store.Prefetch(s + 1);
     PinnedShard pin;
     SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
     const ShardProximity sp = CachedShardProximities(
@@ -500,7 +471,6 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
     Subgraph scratch;
     bool ok = true;
     for (size_t s = 0; s < num_shards; ++s) {
-      if (s + 1 < num_shards) store.Prefetch(s + 1);
       PinnedShard pin;
       SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
       const ShardView& view = pin.view();

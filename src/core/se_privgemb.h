@@ -64,18 +64,17 @@ class SePrivGEmb {
              const SePrivGEmbConfig& config,
              const ProximityOptions& prox_opts = {});
 
-  /// Preference given as precomputed per-edge proximities, consumed by the
-  /// trainer (advanced use: custom measures not in the registry).
-  SePrivGEmb(const Graph& graph, EdgeProximity&& preference,
-             const SePrivGEmbConfig& config);
-
-  /// Borrowing overload: shares the caller's proximity table instead of
-  /// copying it. The selected weight vector (`preference.normalized` under
-  /// config.normalize_proximity, `preference.values` otherwise) must
-  /// outlive the trainer — this is the path the sweep/experiment runners
-  /// take so that every repeated run cell reads one shared table.
+  /// Preference given as precomputed per-edge proximities (advanced use:
+  /// custom measures not in the registry). Shares the caller's table
+  /// instead of copying it: the selected weight vector
+  /// (`preference.normalized` under config.normalize_proximity,
+  /// `preference.values` otherwise) must outlive the trainer — this is the
+  /// path the sweep/experiment runners take so that every repeated run cell
+  /// reads one shared table.
   SePrivGEmb(const Graph& graph, const EdgeProximity& preference,
              const SePrivGEmbConfig& config);
+  /// A temporary table would dangle.
+  SePrivGEmb(const Graph&, EdgeProximity&&, const SePrivGEmbConfig&) = delete;
 
   // Not copyable or movable: weights_ may point at owned_weights_, and a
   // generated copy/move would leave the new object's pointer aimed at the
@@ -127,8 +126,8 @@ class SePrivGEmb {
   const Graph& graph_;
   SePrivGEmbConfig config_;
   // p_ij per canonical edge: weights_ points at owned_weights_ when the
-  // trainer owns its table (kind / consuming ctors) or at the caller's
-  // vector when constructed through the borrowing overload.
+  // trainer computed its table (kind ctor) or at the caller's vector when
+  // constructed from an EdgeProximity.
   std::vector<double> owned_weights_;
   const std::vector<double>* weights_ = &owned_weights_;
   double min_weight_ = 0.0;           // min(P) over edges
@@ -171,17 +170,11 @@ struct OutOfCoreTrainOptions {
 /// bits, loss curve, accounting — is identical to SePrivGEmb::Train() on
 /// the equivalent in-memory graph, for every shard count, thread count,
 /// and pool budget.
-SEPRIV_DP_SANITIZER
-TrainResult TrainOutOfCore(GraphStore& store, ProximityKind preference,
-                           const SePrivGEmbConfig& config,
-                           const OutOfCoreTrainOptions& ooc,
-                           const ProximityOptions& prox_opts = {});
-
-/// Recoverable form of TrainOutOfCore: storage failures that survive the
-/// stack's bounded retries (shard/sample-page IO, sample-store writes,
-/// checkpoint publishes) surface as a structured error instead of aborting,
-/// and `ooc.checkpoint` enables crash-safe resume. On error `*out` holds no
-/// usable model. The aborting wrapper above is the historical contract.
+///
+/// Storage failures that survive the stack's bounded retries
+/// (shard/sample-page IO, sample-store writes, checkpoint publishes)
+/// surface as a structured error, and `ooc.checkpoint` enables crash-safe
+/// resume. On error `*out` holds no usable model.
 SEPRIV_DP_SANITIZER
 Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
                          const SePrivGEmbConfig& config,

@@ -74,7 +74,10 @@ std::unique_ptr<SampleStoreWriter> SampleStoreWriter::Create(
       new SampleStoreWriter(std::move(file), negatives_per_sample));
   // Reserve page 0 now; Finish() fills in the real header. A reader opening
   // an unfinished file sees a zero magic and rejects it.
-  if (writer->file_->AppendPage(writer->page_.data()) != 0) return nullptr;
+  size_t index = 0;
+  if (!writer->file_->TryAppendPage(writer->page_.data(), &index).ok()) {
+    return nullptr;
+  }
   return writer;
 }
 

@@ -55,6 +55,7 @@ size_t SampleRecordBytes(size_t negatives_per_sample);
 
 /// Sequential writer. Records must all carry exactly `negatives_per_sample`
 /// negatives (the SubgraphGenerator guarantees this).
+/// Pointer and bool returns, not Status, only because perfbench calls them.
 class SampleStoreWriter {
  public:
   /// Creates (truncates) `path`. Returns nullptr on I/O failure; aborts if
@@ -109,6 +110,7 @@ class SampleStore final : public SampleSource {
   /// (fallback 4); one page suffices, since the engine pins one page at a
   /// time and nothing is prefetched. Returns nullptr on any validation or
   /// I/O failure.
+  /// A pointer, not a Status, only because perfbench calls it.
   static std::unique_ptr<SampleStore> Open(const std::string& path,
                                            size_t budget_pages = 0);
 

@@ -248,7 +248,8 @@ std::optional<ShardManifest> ReadEdgeListToShards(const std::string& path,
       view.offsets = off64.data() + (s.node_begin - ga);
       view.adjacency = entries.data() + (off64[s.node_begin - ga] - off64[0]);
       const GraphShardInfo info = internal::SerializeShardPage(view, page);
-      if (file->AppendPage(page.data()) == SIZE_MAX) return std::nullopt;
+      size_t index = 0;
+      if (!file->TryAppendPage(page.data(), &index).ok()) return std::nullopt;
       manifest.shards.push_back(info);
       edge_cursor += info.edge_count;
     }
@@ -257,7 +258,7 @@ std::optional<ShardManifest> ReadEdgeListToShards(const std::string& path,
   if (global_adj % 2 != 0) return std::nullopt;
   manifest.num_edges = global_adj / 2;
   if (edge_cursor != manifest.num_edges) return std::nullopt;
-  if (!file->Sync()) return std::nullopt;
+  if (!file->TrySync().ok()) return std::nullopt;
   file.reset();
 
   // The whole-graph fingerprint folds num_edges BEFORE the offsets, so it
@@ -266,7 +267,9 @@ std::optional<ShardManifest> ReadEdgeListToShards(const std::string& path,
   if (!internal::SaveShardManifest(manifest, out_dir)) return std::nullopt;
   auto store = SsdGraphStore::Open(out_dir, /*budget_pages=*/2);
   if (store == nullptr) return std::nullopt;
-  manifest.graph_fingerprint = ComposeGraphFingerprint(*store);
+  if (!ComposeGraphFingerprint(*store, &manifest.graph_fingerprint).ok()) {
+    return std::nullopt;
+  }
   store.reset();
   if (!internal::SaveShardManifest(manifest, out_dir)) return std::nullopt;
   return manifest;

@@ -171,7 +171,7 @@ InMemoryGraphStore::InMemoryGraphStore(const Graph& graph, size_t num_shards)
   }
 }
 
-PinnedShard InMemoryGraphStore::Pin(size_t s) {
+Status InMemoryGraphStore::TryPin(size_t s, PinnedShard* out) {
   SEPRIV_CHECK(s < manifest_.num_shards(), "shard %zu out of range", s);
   const GraphShardInfo& info = manifest_.shards[s];
   ShardView view;
@@ -182,7 +182,8 @@ PinnedShard InMemoryGraphStore::Pin(size_t s) {
   view.edge_count = info.edge_count;
   view.offsets = offsets64_.data() + info.node_begin;
   view.adjacency = graph_.AdjacencyArray().data() + info.adj_begin;
-  return PinnedShard(view, nullptr);  // the graph itself keeps memory alive
+  *out = PinnedShard(view, nullptr);  // the graph itself keeps memory alive
+  return OkStatus();
 }
 
 namespace internal {
@@ -378,9 +379,10 @@ bool WriteGraphShards(const Graph& graph, const std::string& dir,
     const GraphShardInfo written = internal::SerializeShardPage(view, page);
     SEPRIV_CHECK(written.fingerprint == s.fingerprint,
                  "shard fingerprint diverged during serialisation");
-    if (file->AppendPage(page.data()) == SIZE_MAX) return false;
+    size_t index = 0;
+    if (!file->TryAppendPage(page.data(), &index).ok()) return false;
   }
-  if (!file->Sync()) return false;
+  if (!file->TrySync().ok()) return false;
   return internal::SaveShardManifest(manifest, dir);
 }
 
@@ -398,14 +400,6 @@ std::unique_ptr<SsdGraphStore> SsdGraphStore::Open(const std::string& dir,
   budget_pages = std::max<size_t>(2, budget_pages);
   return std::unique_ptr<SsdGraphStore>(
       new SsdGraphStore(std::move(*manifest), std::move(file), budget_pages));
-}
-
-PinnedShard SsdGraphStore::Pin(size_t s) {
-  PinnedShard pin;
-  const Status status = TryPin(s, &pin);
-  SEPRIV_CHECK(status.ok(), "shard %zu in %s unreadable after retries: %s", s,
-               file_->path().c_str(), status.ToString().c_str());
-  return pin;
 }
 
 Status SsdGraphStore::TryPin(size_t s, PinnedShard* out) {
@@ -457,11 +451,7 @@ Status SsdGraphStore::TryPin(size_t s, PinnedShard* out) {
   return last_error;
 }
 
-void SsdGraphStore::Prefetch(size_t s) {
-  if (s < manifest_.num_shards()) pool_.Prefetch(s);
-}
-
-uint64_t ComposeGraphFingerprint(GraphStore& store) {
+Status ComposeGraphFingerprint(GraphStore& store, uint64_t* out) {
   const ShardManifest& m = store.manifest();
   // Same fold as Graph::Fingerprint(): counts, then EVERY offset value in
   // node order, then every adjacency entry. Shard boundaries share an offset
@@ -471,8 +461,8 @@ uint64_t ComposeGraphFingerprint(GraphStore& store) {
   h = HashMix(h, m.num_nodes);
   h = HashMix(h, m.num_edges);
   for (size_t s = 0; s < m.num_shards(); ++s) {
-    store.Prefetch(s + 1);
-    const PinnedShard pin = store.Pin(s);
+    PinnedShard pin;
+    SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
     const ShardView& view = pin.view();
     const size_t nodes = view.node_end - view.node_begin;
     for (size_t i = (s == 0 ? 0 : 1); i <= nodes; ++i) {
@@ -480,8 +470,8 @@ uint64_t ComposeGraphFingerprint(GraphStore& store) {
     }
   }
   for (size_t s = 0; s < m.num_shards(); ++s) {
-    store.Prefetch(s + 1);
-    const PinnedShard pin = store.Pin(s);
+    PinnedShard pin;
+    SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
     const ShardView& view = pin.view();
     const size_t adj = view.offsets[view.node_end - view.node_begin] -
                        view.adj_begin;
@@ -489,15 +479,16 @@ uint64_t ComposeGraphFingerprint(GraphStore& store) {
       h = HashMix(h, static_cast<uint64_t>(view.adjacency[k]));
     }
   }
-  return h;
+  *out = h;
+  return OkStatus();
 }
 
-Graph MaterializeGraph(GraphStore& store) {
+Status MaterializeGraph(GraphStore& store, Graph* out) {
   std::vector<Edge> edges;
   edges.reserve(store.num_edges());
   for (size_t s = 0; s < store.num_shards(); ++s) {
-    store.Prefetch(s + 1);
-    const PinnedShard pin = store.Pin(s);
+    PinnedShard pin;
+    SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
     pin->ForEachEdge([&](size_t e, NodeId u, NodeId v) {
       SEPRIV_CHECK(e == edges.size(), "edge index discontinuity at shard %zu",
                    s);
@@ -505,9 +496,12 @@ Graph MaterializeGraph(GraphStore& store) {
     });
   }
   Graph g = Graph::FromEdges(store.num_nodes(), std::move(edges));
-  SEPRIV_CHECK(g.Fingerprint() == store.fingerprint(),
-               "materialised graph does not match the store fingerprint");
-  return g;
+  if (g.Fingerprint() != store.fingerprint()) {
+    return CorruptionError(
+        "materialised graph does not match the store fingerprint");
+  }
+  *out = std::move(g);
+  return OkStatus();
 }
 
 }  // namespace sepriv

@@ -13,7 +13,11 @@
 //     (any shard count works; views point into the graph's own arrays), so
 //     every in-memory pipeline is the degenerate case of the sharded one;
 //   * SsdGraphStore reads shards from a PageFile through a fixed-budget
-//     BufferPool (one shard per page), with prefetch-next-shard support.
+//     BufferPool (one shard per page), synchronously.
+//
+// TryPin is the one pin: it returns a Status, and a disk-backed store that
+// cannot produce verified bytes after its bounded re-reads reports the error
+// there instead of aborting.
 //
 // Integrity: every shard page carries a checksum over its payload (detects
 // corruption before any field is trusted), and every shard has a fingerprint
@@ -43,6 +47,7 @@
 #include "util/privacy_annotations.h"
 #include "util/buffer_pool.h"
 #include "util/page_file.h"
+#include "util/status.h"
 
 namespace sepriv {
 
@@ -137,22 +142,24 @@ class GraphStore {
 
   virtual const ShardManifest& manifest() const = 0;
 
-  /// Makes shard `s` resident (blocking on IO when disk-backed) and returns
-  /// a pinned view. Aborts on a corrupt shard — graph data cannot be
-  /// recomputed, unlike cache entries.
-  virtual PinnedShard Pin(size_t s) = 0;
+  /// Makes shard `s` resident (reading it when disk-backed) and stores a
+  /// pinned view in `*out`. Disk-backed stores retry transient faults and
+  /// checksum mismatches with bounded re-reads; what survives them surfaces
+  /// as a structured error and leaves `*out` empty. In-memory stores never
+  /// fail.
+  virtual Status TryPin(size_t s, PinnedShard* out) = 0;
 
-  /// Recoverable variant: surfaces IO/corruption as a structured error
-  /// instead of aborting. Disk-backed stores retry transient faults and
-  /// checksum mismatches with bounded re-reads before giving up. The default
-  /// wraps Pin, which never fails for in-memory stores.
-  virtual Status TryPin(size_t s, PinnedShard* out) {
-    *out = Pin(s);
-    return OkStatus();
+  /// Aborting wrapper over TryPin. Kept only because perfbench's replica
+  /// calls it; in the library only ShardedEdgeProximities, whose in-memory
+  /// pins cannot fail, uses it.
+  PinnedShard Pin(size_t s) {
+    PinnedShard pin;
+    SEPRIV_CHECK_OK(TryPin(s, &pin));
+    return pin;
   }
 
-  /// Asynchronous residency hint; no-op for in-memory stores.
-  virtual void Prefetch(size_t /*s*/) {}
+  /// No-op. Kept only because perfbench's replica calls it.
+  void Prefetch(size_t /*s*/) {}
 
   size_t num_nodes() const { return manifest().num_nodes; }
   size_t num_edges() const { return manifest().num_edges; }
@@ -175,13 +182,13 @@ ShardManifest BuildManifest(const Graph& graph, size_t num_shards);
 
 /// The 1..N-shard wrapper over an in-memory Graph. Views alias the graph's
 /// own arrays (plus a uint64 offsets mirror); the graph must outlive the
-/// store. Pin never blocks and Prefetch is a no-op.
+/// store. TryPin never reads and never fails.
 class InMemoryGraphStore : public GraphStore {
  public:
   explicit InMemoryGraphStore(const Graph& graph, size_t num_shards = 1);
 
   const ShardManifest& manifest() const override { return manifest_; }
-  PinnedShard Pin(size_t s) override;
+  Status TryPin(size_t s, PinnedShard* out) override;
 
  private:
   const Graph& graph_;
@@ -192,6 +199,7 @@ class InMemoryGraphStore : public GraphStore {
 /// Serialises `graph` into `dir` as "graph.manifest" + "graph.shards" (one
 /// shard per page; page size = max shard payload rounded up to 4 KiB).
 /// Returns false on I/O failure.
+/// A bool, not a Status, only because perfbench calls it.
 bool WriteGraphShards(const Graph& graph, const std::string& dir,
                       size_t num_shards);
 
@@ -208,13 +216,11 @@ class SsdGraphStore : public GraphStore {
   /// sequential shard pinned while probing another (negative-sampling
   /// adjacency checks). Returns nullptr when the manifest or page file is
   /// missing or invalid.
+  /// A pointer, not a Status, only because perfbench calls it.
   static std::unique_ptr<SsdGraphStore> Open(const std::string& dir,
                                              size_t budget_pages = 0);
 
   const ShardManifest& manifest() const override { return manifest_; }
-
-  /// Aborting wrapper over TryPin (the historical contract).
-  PinnedShard Pin(size_t s) override;
 
   /// Pin with graceful degradation: a transient read fault or a checksum /
   /// fingerprint mismatch on the pooled page triggers a bounded
@@ -223,8 +229,6 @@ class SsdGraphStore : public GraphStore {
   /// the underlying IO error. Fault-injection sites: "page_file.read" (the
   /// pool's reads) — a `torn` schedule there exercises exactly this path.
   Status TryPin(size_t s, PinnedShard* out) override;
-
-  void Prefetch(size_t s) override;
 
   const BufferPool& pool() const { return pool_; }
 
@@ -248,11 +252,14 @@ class SsdGraphStore : public GraphStore {
 
 /// Recomputes the whole-graph Graph::Fingerprint() from the shards alone by
 /// folding the offset and adjacency slices in shard order (two sequential
-/// passes). Equal to manifest().graph_fingerprint for an intact store.
-uint64_t ComposeGraphFingerprint(GraphStore& store);
+/// passes) into `*out`. Equal to manifest().graph_fingerprint for an intact
+/// store. Returns the first pin error.
+Status ComposeGraphFingerprint(GraphStore& store, uint64_t* out);
 
-/// Assembles the full in-memory Graph (verification / small-graph path).
-Graph MaterializeGraph(GraphStore& store);
+/// Assembles the full in-memory Graph into `*out` (verification /
+/// small-graph path). Returns the first pin error, or kCorruption when the
+/// shards do not reproduce the manifest's graph fingerprint.
+Status MaterializeGraph(GraphStore& store, Graph* out);
 
 namespace internal {
 

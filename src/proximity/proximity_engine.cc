@@ -410,7 +410,7 @@ ShardProximity CachedShardProximities(const ShardView& view,
   return prox;
 }
 
-EdgeProximity ShardedEdgeProximities(GraphStore& store,
+EdgeProximity ShardedEdgeProximities(InMemoryGraphStore& store,
                                      const ProximityProvider& provider,
                                      const ProximityOptions& opts,
                                      ThreadPool& pool,
@@ -418,7 +418,6 @@ EdgeProximity ShardedEdgeProximities(GraphStore& store,
   const size_t m = store.num_edges();
   std::vector<double> forward(m), backward(m);
   for (size_t s = 0; s < store.num_shards(); ++s) {
-    store.Prefetch(s + 1);
     const PinnedShard pin = store.Pin(s);
     const ShardView& view = pin.view();
     const ShardProximity sp = CachedShardProximities(

@@ -96,13 +96,12 @@ ShardProximity CachedShardProximities(const ShardView& view,
                                       const std::string& cache_root);
 
 /// Whole-table front end over the sharded passes: iterates the store's
-/// shards SEQUENTIALLY (prefetching shard s+1 while computing shard s, so at
-/// most two shards are resident), then runs the shared finalisation.
-/// Bit-identical to ComputeEdgeProximities on the equivalent graph for
-/// every shard count, thread count, and cache state. Note the returned
-/// table is O(|E|) — out-of-core consumers stream through
-/// CachedShardProximities + ProximityFinalizer instead.
-EdgeProximity ShardedEdgeProximities(GraphStore& store,
+/// shards sequentially, then runs the shared finalisation. Bit-identical to
+/// ComputeEdgeProximities on the equivalent graph for every shard count,
+/// thread count, and cache state. The returned table is O(|E|), so it takes
+/// an in-memory store, whose pins cannot fail; out-of-core consumers stream
+/// through CachedShardProximities + ProximityFinalizer instead.
+EdgeProximity ShardedEdgeProximities(InMemoryGraphStore& store,
                                      const ProximityProvider& provider,
                                      const ProximityOptions& opts,
                                      ThreadPool& pool,

@@ -8,130 +8,65 @@
 namespace sepriv {
 
 BufferPool::BufferPool(const PageFile& file, size_t budget_pages)
-    : file_(file) {
-  budget_pages = std::max<size_t>(1, budget_pages);
-  budget_pages_ = budget_pages;
-  {
-    // The constructor is single-threaded, but the prefetcher starts before
-    // the body returns — initialise the guarded state under the latch so
-    // the analysis (and TSan) see a proper release/acquire pair.
-    MutexLock lock(mu_);
-    frames_.resize(budget_pages);
-    for (Frame& f : frames_) f.buf.resize(file_.page_size());
-    page_to_frame_.reserve(budget_pages);
-  }
-  prefetcher_ = std::thread([this] { PrefetchLoop(); });
-}
-
-BufferPool::~BufferPool() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.NotifyAll();
-  prefetcher_.join();
-}
-
-size_t BufferPool::ClaimFrameLocked(size_t page) {
-  size_t victim = kNoFrame;
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    const Frame& f = frames_[i];
-    if (f.pins > 0 || f.loading) continue;
-    if (f.page == kNoPage) {  // empty frame: take it immediately
-      victim = i;
-      break;
-    }
-    if (victim == kNoFrame || f.last_use < frames_[victim].last_use) {
-      victim = i;  // LRU among unpinned resident frames
-    }
-  }
-  if (victim == kNoFrame) return kNoFrame;
-  Frame& f = frames_[victim];
-  if (f.page != kNoPage) {
-    page_to_frame_.erase(f.page);
-    ++stats_.evictions;
-  }
-  f.page = page;
-  f.loading = true;
-  f.failed = false;
-  page_to_frame_.emplace(page, victim);
-  return victim;
-}
-
-void BufferPool::FinishLoadLocked(size_t frame, bool ok) {
-  Frame& f = frames_[frame];
-  f.loading = false;
-  f.failed = !ok;
-  if (ok) f.load_id = ++load_counter_;
-  if (!ok) {
-    // Leave no mapping to a garbage frame; the next Pin retries the read.
-    page_to_frame_.erase(f.page);
-    f.page = kNoPage;
-  }
-  frame_cv_.NotifyAll();
+    : file_(file), budget_pages_(std::max<size_t>(1, budget_pages)) {
+  frames_.resize(budget_pages_);
+  for (Frame& f : frames_) f.buf.resize(file_.page_size());
+  page_to_frame_.reserve(budget_pages_);
 }
 
 Status BufferPool::TryPin(size_t page, PageHandle* out) {
   *out = PageHandle();
   MutexLock lock(mu_);
-  for (;;) {
-    auto it = page_to_frame_.find(page);
-    if (it != page_to_frame_.end()) {
-      Frame& f = frames_[it->second];
-      if (f.loading) {
-        // A prefetch (or another Pin) is reading this page right now; wait
-        // for the read instead of issuing a duplicate one.
-        frame_cv_.Wait(mu_);
-        continue;  // re-resolve: the load may have failed
+  auto it = page_to_frame_.find(page);
+  size_t frame = kNoFrame;
+  if (it != page_to_frame_.end()) {
+    frame = it->second;
+    ++stats_.hits;
+  } else {
+    for (size_t i = 0; i < frames_.size(); ++i) {
+      const Frame& f = frames_[i];
+      if (f.pins > 0) continue;
+      if (f.page == kNoPage) {  // empty frame: take it immediately
+        frame = i;
+        break;
       }
-      ++f.pins;
-      f.last_use = ++tick_;
-      ++stats_.hits;
-      *out = PageHandle(this, it->second, f.buf.data(), page, f.load_id);
-      return OkStatus();
+      if (frame == kNoFrame || f.last_use < frames_[frame].last_use) {
+        frame = i;  // LRU among unpinned resident frames
+      }
     }
-
-    const size_t frame = ClaimFrameLocked(page);
-    if (frame == kNoFrame) {
-      // Every frame is pinned or mid-load. If anything is loading, a frame
-      // will free up; waiting is correct. If everything is *pinned*, the
-      // caller holds more handles than the budget — a usage bug.
-      const bool any_loading = std::any_of(
-          frames_.begin(), frames_.end(),
-          [](const Frame& f) { return f.loading; });
-      SEPRIV_CHECK(any_loading,
-                   "buffer pool over-pinned: all %zu frames hold live pins "
-                   "(raise the budget or drop handles before pinning more)",
-                   frames_.size());
-      frame_cv_.Wait(mu_);
-      continue;
+    SEPRIV_CHECK(frame != kNoFrame,
+                 "buffer pool over-pinned: all %zu frames hold live pins "
+                 "(raise the budget or drop handles before pinning more)",
+                 frames_.size());
+    Frame& victim = frames_[frame];
+    if (victim.page != kNoPage) {
+      page_to_frame_.erase(victim.page);
+      victim.page = kNoPage;
+      ++stats_.evictions;
     }
-
     ++stats_.misses;
-    // Snapshot the destination while the latch proves the frame is ours
-    // (`loading` fences it from eviction), then read without the latch.
     // Transient faults (plain IO errors) get a bounded number of immediate
-    // re-reads; corruption and precondition failures surface at once.
-    std::byte* dst = frames_[frame].buf.data();
+    // re-reads; corruption and precondition failures surface at once. A
+    // failed read leaves the frame empty.
     Status read_status;
     for (size_t attempt = 1; attempt <= kMaxIoAttempts; ++attempt) {
-      lock.Unlock();
-      read_status = file_.TryReadPage(page, dst);
-      lock.Lock();
+      read_status = file_.TryReadPage(page, victim.buf.data());
       if (read_status.ok() || !read_status.transient() ||
           attempt == kMaxIoAttempts) {
         break;
       }
       ++stats_.read_retries;
     }
-    FinishLoadLocked(frame, read_status.ok());
     if (!read_status.ok()) return read_status;
-    Frame& f = frames_[frame];
-    ++f.pins;
-    f.last_use = ++tick_;
-    *out = PageHandle(this, frame, f.buf.data(), page, f.load_id);
-    return OkStatus();
+    victim.page = page;
+    victim.load_id = ++load_counter_;
+    page_to_frame_.emplace(page, frame);
   }
+  Frame& f = frames_[frame];
+  ++f.pins;
+  f.last_use = ++tick_;
+  *out = PageHandle(this, frame, f.buf.data(), page, f.load_id);
+  return OkStatus();
 }
 
 bool BufferPool::Discard(size_t page) {
@@ -139,7 +74,7 @@ bool BufferPool::Discard(size_t page) {
   auto it = page_to_frame_.find(page);
   if (it == page_to_frame_.end()) return false;
   Frame& f = frames_[it->second];
-  if (f.pins > 0 || f.loading) return false;
+  if (f.pins > 0) return false;
   page_to_frame_.erase(it);
   f.page = kNoPage;
   f.load_id = 0;
@@ -147,54 +82,11 @@ bool BufferPool::Discard(size_t page) {
   return true;
 }
 
-void BufferPool::Prefetch(size_t page) {
-  {
-    MutexLock lock(mu_);
-    if (stop_ || page >= file_.num_pages() ||
-        page_to_frame_.count(page) != 0 ||
-        std::find(prefetch_queue_.begin(), prefetch_queue_.end(), page) !=
-            prefetch_queue_.end()) {
-      ++stats_.prefetch_dropped;
-      return;
-    }
-    prefetch_queue_.push_back(page);
-  }
-  work_cv_.NotifyOne();
-}
-
-void BufferPool::PrefetchLoop() {
-  MutexLock lock(mu_);
-  for (;;) {
-    while (!stop_ && prefetch_queue_.empty()) work_cv_.Wait(mu_);
-    if (stop_) return;
-    const size_t page = prefetch_queue_.front();
-    prefetch_queue_.pop_front();
-    if (page_to_frame_.count(page) != 0) {
-      ++stats_.prefetch_dropped;  // became resident since the hint
-      continue;
-    }
-    const size_t frame = ClaimFrameLocked(page);
-    if (frame == kNoFrame) {
-      ++stats_.prefetch_dropped;  // pool saturated with pins: hint dropped
-      continue;
-    }
-    std::byte* dst = frames_[frame].buf.data();
-    lock.Unlock();
-    const bool ok = file_.ReadPage(page, dst);
-    lock.Lock();
-    FinishLoadLocked(frame, ok);
-    if (ok) ++stats_.prefetch_loads;
-  }
-}
-
 void BufferPool::Unpin(size_t frame) {
   MutexLock lock(mu_);
   Frame& f = frames_[frame];
   SEPRIV_CHECK(f.pins > 0, "unpin of an unpinned frame");
   --f.pins;
-  // No notify needed for eviction (scans find the frame), but a Pin may be
-  // waiting for *any* frame to become evictable.
-  if (f.pins == 0) frame_cv_.NotifyAll();
 }
 
 void BufferPool::PageHandle::Release() {

@@ -1,38 +1,31 @@
-// Fixed-budget buffer pool over a PageFile, with asynchronous prefetch.
+// Fixed-budget buffer pool over a PageFile: a synchronous LRU page cache.
 //
 // The pool owns `budget` page-sized frames — the hard memory ceiling of the
-// out-of-core layer; it NEVER allocates a frame beyond the budget. Pages are
-// pinned for reading (Pin blocks on a miss, reading from disk into an
-// LRU-evicted frame) and released by dropping the returned handle. Unpinned
-// frames stay resident as a cache; eviction is least-recently-used among
+// out-of-core layer; it NEVER allocates a frame beyond the budget. TryPin
+// pins a page for reading: on a miss it reads the page from disk into the
+// least-recently-used unpinned frame, and the handle releases the pin when
+// dropped. Unpinned frames stay resident as a cache; eviction considers
 // unpinned frames only, so a pinned page can never be stolen mid-read.
 //
-// Prefetch(page) is a non-blocking hint serviced by one background thread:
-// it loads the page into a free/evictable frame so the next Pin is a cache
-// hit, hiding the SSD latency behind the caller's compute. Hints are
-// best-effort — dropped when the page is already resident, already queued,
-// or every frame is pinned — and never change what Pin returns, only how
-// fast it returns. The sequential consumers (sharded proximity passes,
-// shard-sorted training epochs) pin shard s while prefetching s+1.
-//
 // Thread-safety: all public methods may be called concurrently; handles may
-// be dropped from any thread. One Pin of a page blocks other Pins of the
-// same page only for the duration of the disk read. The latch discipline is
-// machine-checked: mu_ is an annotated Mutex, every guarded field is
-// declared SEPRIV_GUARDED_BY(mu_), and clang's -Wthread-safety (a CI error)
-// rejects any access outside the latch. Page *contents* are intentionally
-// read outside the latch through pinned handles — safe because a frame with
-// live pins is never evicted or reloaded, and the pin/unpin transitions
-// themselves happen under mu_ (establishing the happens-before between a
-// frame's last reader and its next loader).
+// be dropped from any thread. A miss reads the page under the pool's latch,
+// so concurrent pins of one pool serialise behind that read. No library
+// caller pins one pool from two threads: the engine's gather,
+// ShardHaloOracle::Load and the shard scans all pin on the calling thread,
+// and pool workers only read bytes that are already pinned. The latch
+// discipline is machine-checked: mu_ is an annotated Mutex, every guarded
+// field is declared SEPRIV_GUARDED_BY(mu_), and clang's -Wthread-safety (a
+// CI error) rejects any access outside the latch. Page *contents* are read
+// outside the latch through pinned handles — safe because a frame with live
+// pins is never evicted or reloaded, and the pin/unpin transitions happen
+// under mu_ (establishing the happens-before between a frame's last reader
+// and its next load).
 
 #ifndef SEPRIVGEMB_UTIL_BUFFER_POOL_H_
 #define SEPRIVGEMB_UTIL_BUFFER_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -44,11 +37,13 @@ namespace sepriv {
 
 /// Counters exposed for benches and tests. Snapshot semantics (one lock).
 struct BufferPoolStats {
-  uint64_t hits = 0;            // Pin found the page resident
-  uint64_t misses = 0;          // Pin had to read from disk
+  uint64_t hits = 0;            // TryPin found the page resident
+  uint64_t misses = 0;          // TryPin had to read from disk
   uint64_t evictions = 0;       // resident page displaced from its frame
-  uint64_t prefetch_loads = 0;  // pages loaded by the background thread
-  uint64_t prefetch_dropped = 0;  // hints skipped (resident/queued/no frame)
+  // Always 0: the pool has no prefetcher. Kept only because perfbench's
+  // replica reads them; they go when the replica does.
+  uint64_t prefetch_loads = 0;
+  uint64_t prefetch_dropped = 0;
   uint64_t read_retries = 0;    // transient read faults absorbed by TryPin
   uint64_t discards = 0;        // pages dropped via Discard (re-read path)
 };
@@ -58,7 +53,6 @@ class BufferPool {
   /// `budget_pages` frames of file.page_size() bytes each; clamped to >= 1.
   /// The pool reads through `file`, which must outlive it.
   BufferPool(const PageFile& file, size_t budget_pages);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -117,28 +111,17 @@ class BufferPool {
   /// Pins `page`, reading it from disk if not resident; transient read
   /// faults are retried up to kMaxIoAttempts times (stats().read_retries
   /// counts the absorbed faults). On persistent failure returns the last
-  /// read's structured error and leaves `*out` invalid. Aborts
-  /// (SEPRIV_CHECK) when every frame is pinned — the pool is over-pinned,
-  /// a caller bug.
+  /// read's structured error, leaves `*out` invalid and the frame empty.
+  /// Aborts (SEPRIV_CHECK) when every frame is pinned — the pool is
+  /// over-pinned, a caller bug.
   Status TryPin(size_t page, PageHandle* out) SEPRIV_EXCLUDES(mu_);
 
-  /// Bool-era shim over TryPin: returns an invalid handle on read failure
-  /// (TryPin leaves `handle` invalid whenever it reports an error).
-  PageHandle Pin(size_t page) SEPRIV_EXCLUDES(mu_) {
-    PageHandle handle;
-    if (!TryPin(page, &handle).ok()) return PageHandle();
-    return handle;
-  }
-
-  /// Drops an unpinned resident copy of `page` so the next Pin re-reads it
-  /// from disk. This is the recovery primitive for checksum mismatches
+  /// Drops an unpinned resident copy of `page` so the next TryPin re-reads
+  /// it from disk. This is the recovery primitive for checksum mismatches
   /// detected ABOVE the pool (the pool cannot know a page's checksum): the
   /// caller drops its handle, Discards the page, and pins again. Returns
-  /// false when the page is not resident or still pinned/loading.
+  /// false when the page is not resident or still pinned.
   bool Discard(size_t page) SEPRIV_EXCLUDES(mu_);
-
-  /// Asynchronous load hint; never blocks beyond a mutex.
-  void Prefetch(size_t page) SEPRIV_EXCLUDES(mu_);
 
   size_t budget_pages() const { return budget_pages_; }
   size_t page_size() const { return file_.page_size(); }
@@ -154,49 +137,30 @@ class BufferPool {
 
   struct Frame {
     std::vector<std::byte> buf;
-    size_t page = kNoPage;
+    size_t page = kNoPage;   // kNoPage: the frame is empty
     size_t pins = 0;
-    bool loading = false;
-    bool failed = false;     // last read failed; frame holds no valid data
     uint64_t last_use = 0;
     uint64_t load_id = 0;    // id of the read that filled the frame
   };
 
-  /// Claims a frame for `page` (evicting an unpinned resident page if
-  /// needed) and marks it loading. Returns kNoFrame when every frame is
-  /// pinned or loading.
-  size_t ClaimFrameLocked(size_t page) SEPRIV_REQUIRES(mu_);
-
-  /// Completes a claimed frame after the (unlocked) disk read.
-  void FinishLoadLocked(size_t frame, bool ok) SEPRIV_REQUIRES(mu_);
-
-  void PrefetchLoop() SEPRIV_EXCLUDES(mu_);
   void Unpin(size_t frame) SEPRIV_EXCLUDES(mu_);
 
   const PageFile& file_;
   size_t budget_pages_ = 0;  // == frames_.size(); immutable after the ctor
 
   mutable Mutex mu_;
-  CondVar frame_cv_;    // a loading frame became ready
-  CondVar work_cv_;     // prefetch queue or shutdown
-  // Frame *metadata* (page, pins, loading, ...) is guarded; frame *bytes*
-  // (Frame::buf contents) are filled outside the latch by the claiming
-  // loader (the frame is fenced off via `loading`) and read outside it via
-  // pinned handles — see the header comment for the happens-before argument.
-  // Loaders snapshot buf.data() under mu_ before releasing it.
+  // Frame metadata and bytes are written under the latch; the bytes are
+  // read outside it via pinned handles — see the header comment for the
+  // happens-before argument.
   std::vector<Frame> frames_ SEPRIV_GUARDED_BY(mu_);
   // Iteration-order note: page_to_frame_ is lookup/insert/erase only —
   // nothing ever iterates it, so its unordered order can't leak into
   // results (eviction order is decided by the frames_ LRU scan, which is
   // index-ordered and deterministic).
   std::unordered_map<size_t, size_t> page_to_frame_ SEPRIV_GUARDED_BY(mu_);
-  std::deque<size_t> prefetch_queue_ SEPRIV_GUARDED_BY(mu_);
   uint64_t tick_ SEPRIV_GUARDED_BY(mu_) = 0;
   uint64_t load_counter_ SEPRIV_GUARDED_BY(mu_) = 0;
-  bool stop_ SEPRIV_GUARDED_BY(mu_) = false;
   BufferPoolStats stats_ SEPRIV_GUARDED_BY(mu_);
-
-  std::thread prefetcher_;
 };
 
 }  // namespace sepriv

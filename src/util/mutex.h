@@ -6,8 +6,7 @@
 // capability types the whole library locks through:
 //
 //   Mutex      — std::mutex with ACQUIRE/RELEASE/TRY_ACQUIRE annotations
-//   MutexLock  — scoped lock (SCOPED_CAPABILITY), with mid-scope
-//                Unlock()/Lock() for code that drops the latch around I/O
+//   MutexLock  — scoped lock (SCOPED_CAPABILITY)
 //   CondVar    — std::condition_variable bound to Mutex; Wait() REQUIRES the
 //                mutex, and the temporary release inside wait() is invisible
 //                to the analysis by design (the capability is restored
@@ -55,39 +54,21 @@ struct AdoptLockT {
 };
 inline constexpr AdoptLockT kAdoptLock{};
 
-/// RAII scoped lock over Mutex. Supports mid-scope Unlock()/Lock() so code
-/// that must drop the latch around blocking work (disk reads in the buffer
-/// pool) keeps a single analysable scope instead of two lock_guard blocks.
+/// RAII scoped lock over Mutex.
 class SEPRIV_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) SEPRIV_ACQUIRE(mu) : mu_(mu), held_(true) {
-    mu_.Lock();
-  }
+  explicit MutexLock(Mutex& mu) SEPRIV_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
 
   /// Adopts a mutex the caller already holds (e.g. from a successful
   /// TryLock); the destructor releases it as usual.
-  MutexLock(Mutex& mu, AdoptLockT) SEPRIV_REQUIRES(mu)
-      : mu_(mu), held_(true) {}
-  ~MutexLock() SEPRIV_RELEASE() {
-    if (held_) mu_.Unlock();
-  }
+  MutexLock(Mutex& mu, AdoptLockT) SEPRIV_REQUIRES(mu) : mu_(mu) {}
+  ~MutexLock() SEPRIV_RELEASE() { mu_.Unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Temporarily drops the capability; the destructor tolerates either state.
-  void Unlock() SEPRIV_RELEASE() {
-    mu_.Unlock();
-    held_ = false;
-  }
-  void Lock() SEPRIV_ACQUIRE() {
-    mu_.Lock();
-    held_ = true;
-  }
-
  private:
   Mutex& mu_;
-  bool held_;
 };
 
 /// Condition variable bound to Mutex. Wait() requires the mutex held and

@@ -1,11 +1,11 @@
 // Fixed-page-size file storage: the SSD substrate of the out-of-core layer.
 //
 // A PageFile is an array of equally sized pages addressed by index, living in
-// one ordinary file. Reads and writes go through pread/pwrite so concurrent
-// readers (the buffer pool's foreground pins and its background prefetcher)
-// never share a file cursor. The file carries no header of its own — callers
-// (shard manifests, the sample store) record the page size in their own
-// metadata and pass it back at open time.
+// one ordinary file. Reads and writes go through pread/pwrite, so readers
+// never share a file cursor, and every page operation returns a Status. The
+// file carries no header of its own — callers (shard manifests, the sample
+// store) record the page size in their own metadata and pass it back at
+// open time.
 
 #ifndef SEPRIVGEMB_UTIL_PAGE_FILE_H_
 #define SEPRIVGEMB_UTIL_PAGE_FILE_H_
@@ -58,23 +58,6 @@ class PageFile {
   /// Flushes file contents to stable storage.
   /// Fault-injection site: "page_file.sync".
   Status TrySync();
-
-  /// Bool-returning shims over the Try* primaries, for call sites whose
-  /// own signature is already boolean. They lose the error detail.
-  bool ReadPage(size_t index, void* out) const {
-    return TryReadPage(index, out).ok();
-  }
-  bool WritePage(size_t index, const void* data) {
-    return TryWritePage(index, data).ok();
-  }
-
-  /// Appends one page; returns its index, or SIZE_MAX on failure.
-  size_t AppendPage(const void* data) {
-    size_t index = 0;
-    return TryAppendPage(data, &index).ok() ? index : SIZE_MAX;
-  }
-
-  bool Sync() { return TrySync().ok(); }
 
  private:
   PageFile(int fd, std::string path, size_t page_size, size_t num_pages)

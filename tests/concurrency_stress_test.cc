@@ -3,9 +3,8 @@
 // tsan job executes this file with real contention). Each test encodes an
 // interleaving the single-threaded suites never produce:
 //
-//   - BufferPool: racing Pin/Prefetch/Release across threads, shutdown with
-//     a saturated prefetch queue (the prefetch-thread ordering hazard), and
-//     pin-while-prefetching of the SAME page (duplicate-read suppression)
+//   - BufferPool: racing TryPin/Release across threads (misses read under
+//     the latch while other threads drop handles)
 //   - ThreadPool: rapid construct/ParallelFor/destruct churn (worker
 //     startup/shutdown handshake) and back-to-back jobs (job_id handoff)
 //   - kernels::ParallelTasks: concurrent callers (try_lock serial fallback)
@@ -53,10 +52,19 @@ class ConcurrencyStressTest : public ::testing::Test {
     std::vector<std::byte> buf(kPage);
     for (size_t p = 0; p < pages; ++p) {
       std::memset(buf.data(), static_cast<int>(p % 251), kPage);
-      EXPECT_EQ(file->AppendPage(buf.data()), p);
+      size_t index = 0;
+      EXPECT_TRUE(file->TryAppendPage(buf.data(), &index).ok());
+      EXPECT_EQ(index, p);
     }
-    EXPECT_TRUE(file->Sync());
+    EXPECT_TRUE(file->TrySync().ok());
     return file;
+  }
+
+  /// TryPin; an invalid handle on failure, which PageIs rejects.
+  static BufferPool::PageHandle Pin(BufferPool& pool, size_t page) {
+    BufferPool::PageHandle h;
+    if (!pool.TryPin(page, &h).ok()) return BufferPool::PageHandle();
+    return h;
   }
 
   static bool PageIs(const BufferPool::PageHandle& h, size_t p) {
@@ -69,7 +77,7 @@ class ConcurrencyStressTest : public ::testing::Test {
   }
 };
 
-TEST_F(ConcurrencyStressTest, BufferPoolConcurrentPinPrefetchRelease) {
+TEST_F(ConcurrencyStressTest, BufferPoolConcurrentPinRelease) {
   const std::string path = TempPath("pin_race");
   const size_t kPages = 64;
   auto file = MakeFile(path, kPages);
@@ -85,12 +93,11 @@ TEST_F(ConcurrencyStressTest, BufferPoolConcurrentPinPrefetchRelease) {
       Rng rng(0xace0fba5eULL + t);  // per-thread stream, seeded by slot
       for (size_t i = 0; i < kItersPerThread; ++i) {
         const size_t page = rng.UniformInt(kPages);
-        pool.Prefetch(rng.UniformInt(kPages));  // hint some other page
-        BufferPool::PageHandle h = pool.Pin(page);
+        BufferPool::PageHandle h = Pin(pool, page);
         if (!PageIs(h, page)) bad_pages.fetch_add(1);
         if ((i & 7) == 0) {
           // Hold two pins at once (budget 8 >= 2 * threads = 8 pins max).
-          BufferPool::PageHandle h2 = pool.Pin(rng.UniformInt(kPages));
+          BufferPool::PageHandle h2 = Pin(pool, rng.UniformInt(kPages));
           if (!h2.valid()) bad_pages.fetch_add(1);
         }
       }
@@ -105,48 +112,6 @@ TEST_F(ConcurrencyStressTest, BufferPoolConcurrentPinPrefetchRelease) {
   const uint64_t pins = kThreads * kItersPerThread +
                         kThreads * (kItersPerThread / 8);
   EXPECT_EQ(stats.hits + stats.misses, pins);
-}
-
-TEST_F(ConcurrencyStressTest, BufferPoolShutdownWithQueuedPrefetches) {
-  const std::string path = TempPath("shutdown");
-  const size_t kPages = 32;
-  auto file = MakeFile(path, kPages);
-  // Repeatedly: queue a prefetch storm, then destroy the pool immediately.
-  // The destructor must drain/abandon the queue without touching freed
-  // frames — the prefetch-thread shutdown-ordering hazard TSan watches.
-  for (size_t round = 0; round < 20; ++round) {
-    BufferPool pool(*file, /*budget_pages=*/4);
-    for (size_t p = 0; p < kPages; ++p) pool.Prefetch(p);
-    if (round % 2 == 0) {
-      BufferPool::PageHandle h = pool.Pin(round % kPages);
-      EXPECT_TRUE(PageIs(h, round % kPages));
-    }
-    // pool destroyed here with hints still queued
-  }
-}
-
-TEST_F(ConcurrencyStressTest, BufferPoolPinOfPageBeingPrefetched) {
-  const std::string path = TempPath("dup_read");
-  const size_t kPages = 16;
-  auto file = MakeFile(path, kPages);
-  BufferPool pool(*file, /*budget_pages=*/4);
-  // Hammer the prefetcher and pin the same pages from two threads: Pin must
-  // wait for the in-flight load instead of double-reading into the frame.
-  std::atomic<size_t> bad_pages{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(31 + t);
-      for (size_t i = 0; i < 300; ++i) {
-        const size_t page = rng.UniformInt(kPages);
-        pool.Prefetch(page);
-        BufferPool::PageHandle h = pool.Pin(page);
-        if (!PageIs(h, page)) bad_pages.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bad_pages.load(), 0u);
 }
 
 TEST_F(ConcurrencyStressTest, ThreadPoolChurnAndBackToBackJobs) {

@@ -2,7 +2,8 @@
 // through its failpoint and must degrade per contract — transient faults are
 // absorbed by bounded retries, torn bytes are caught by checksums and
 // re-read, persistent faults surface as structured errors (never garbage,
-// never a hang), and the historical aborting wrappers die loudly.
+// never a hang), seeded schedules replay exactly, and the aborting
+// GraphStore::Pin wrapper dies loudly.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "proximity/proximity_engine.h"
 #include "test_tmpdir.h"
 #include "util/buffer_pool.h"
+#include "util/digest.h"
 #include "util/failpoint.h"
 #include "util/page_file.h"
 #include "util/status.h"
@@ -44,7 +46,7 @@ class FaultInjectionTest : public ::testing::Test {
     std::vector<char> buf(page_size);
     for (size_t p = 0; p < pages; ++p) {
       std::memset(buf.data(), static_cast<int>('a' + p % 26), buf.size());
-      if (!file->WritePage(p, buf.data())) return nullptr;
+      if (!file->TryWritePage(p, buf.data()).ok()) return nullptr;
     }
     return file;
   }
@@ -61,7 +63,6 @@ TEST_F(FaultInjectionTest, PageFileFaultMatrix) {
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.read=err"));
   EXPECT_EQ(file->TryReadPage(0, buf.data()).code(), StatusCode::kIoError);
-  EXPECT_FALSE(file->ReadPage(0, buf.data()));
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.write=enospc"));
   EXPECT_EQ(file->TryWritePage(0, buf.data()).code(), StatusCode::kNoSpace);
@@ -71,7 +72,6 @@ TEST_F(FaultInjectionTest, PageFileFaultMatrix) {
 
   ASSERT_TRUE(failpoint::SetSpec("page_file.sync=err"));
   EXPECT_EQ(file->TrySync().code(), StatusCode::kIoError);
-  EXPECT_FALSE(file->Sync());
 
   // A torn read "succeeds" at the PageFile layer with corrupted bytes — the
   // caller's checksum is the detection layer (exercised below via the
@@ -116,8 +116,6 @@ TEST_F(FaultInjectionTest, BufferPoolSurfacesPersistentReadFault) {
   // Exactly kMaxIoAttempts reads were spent before giving up.
   EXPECT_EQ(failpoint::HitCount("page_file.read"),
             BufferPool::kMaxIoAttempts);
-  // The bool-era shim degrades to an invalid handle, not an abort.
-  EXPECT_FALSE(pool.Pin(0).valid());
 
   // The pool recovers the moment the fault clears: no poisoned frames.
   failpoint::ClearAll();
@@ -169,9 +167,8 @@ TEST_F(FaultInjectionTest, SsdStorePersistentTornSurfacesCorruption) {
 using FaultInjectionDeathTest = FaultInjectionTest;
 
 TEST_F(FaultInjectionDeathTest, AbortingPinDiesOnPersistentFault) {
-  // The store's prefetch thread is alive when EXPECT_DEATH forks. Re-run
-  // the test in a fresh process instead, so the child cannot inherit the
-  // pool mutex that thread may hold at the fork and block on it forever.
+  // Re-run the test in a fresh process for the death, so the child never
+  // depends on which threads or locks the parent happens to hold at fork.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = BarabasiAlbert(60, 3, /*seed=*/9);
   const std::string dir = root_ + "/death_shards";
@@ -354,6 +351,57 @@ TEST_F(FaultInjectionTest, TryTrainOutOfCoreSurfacesPersistentFault) {
                                 ooc, &result)
                   .ok());
   EXPECT_EQ(result.epochs_run, 1u);
+}
+
+TEST_F(FaultInjectionTest, SeededReadScheduleReplaysExactlyOutOfCore) {
+  // Every page read happens on the thread that pins, in an order fixed by
+  // the inputs, so one seeded schedule of transient read faults hits the
+  // same reads on every run: fault counts, retries, pool traffic and model
+  // bits all replay.
+  const Graph g = BarabasiAlbert(2000, 4, /*seed=*/14);
+  const std::string shard_dir = root_ + "/replay_shards";
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 32));
+
+  SePrivGEmbConfig cfg;
+  cfg.dim = 8;
+  cfg.batch_size = 64;
+  cfg.max_epochs = 10;
+  cfg.negatives = 3;
+  cfg.seed = 14;
+  cfg.proximity_cache_path = "-";
+
+  struct Replay {
+    uint64_t hits, fires, retries, misses, w_in, w_out;
+  };
+  std::vector<Replay> runs;
+  for (int run = 0; run < 3; ++run) {
+    auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/4);
+    ASSERT_NE(store, nullptr);
+    OutOfCoreTrainOptions ooc;
+    ooc.work_dir = root_ + "/replay_work" + std::to_string(run);
+    ooc.sample_page_bytes = 4096;
+    ASSERT_TRUE(failpoint::SetSpec("page_file.read=err~0.02@7"));
+    TrainResult result;
+    const Status s = TryTrainOutOfCore(
+        *store, ProximityKind::kPreferentialAttachment, cfg, ooc, &result);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    const BufferPoolStats stats = store->pool().stats();
+    runs.push_back({failpoint::HitCount("page_file.read"),
+                    failpoint::FireCount("page_file.read"),
+                    stats.read_retries, stats.misses,
+                    MatrixDigest(result.model.w_in),
+                    MatrixDigest(result.model.w_out)});
+  }
+  EXPECT_GT(runs[0].fires, 0u);
+  EXPECT_GT(runs[0].retries, 0u);
+  for (int run = 1; run < 3; ++run) {
+    EXPECT_EQ(runs[run].hits, runs[0].hits) << "run " << run;
+    EXPECT_EQ(runs[run].fires, runs[0].fires) << "run " << run;
+    EXPECT_EQ(runs[run].retries, runs[0].retries) << "run " << run;
+    EXPECT_EQ(runs[run].misses, runs[0].misses) << "run " << run;
+    EXPECT_EQ(runs[run].w_in, runs[0].w_in) << "run " << run;
+    EXPECT_EQ(runs[run].w_out, runs[0].w_out) << "run " << run;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "graph/shard.h"
 #include "test_tmpdir.h"
+#include "util/failpoint.h"
 
 namespace sepriv {
 namespace {
@@ -166,6 +167,8 @@ TEST_F(IoTest, WrittenFileStartsWithSummaryComment) {
 
 class ShardIngestTest : public IoTest {
  protected:
+  void TearDown() override { failpoint::ClearAll(); }
+
   std::string TempDirFor(const std::string& name) {
     const std::string dir = TestTmpDir() + "/ingest_" + name;
     std::error_code ec;
@@ -190,7 +193,9 @@ TEST_F(ShardIngestTest, StreamingIngestMatchesInMemoryRead) {
 
     auto store = SsdGraphStore::Open(dir, 2);
     ASSERT_NE(store, nullptr);
-    EXPECT_EQ(MaterializeGraph(*store).Fingerprint(), g.Fingerprint());
+    Graph back;
+    ASSERT_TRUE(MaterializeGraph(*store, &back).ok());
+    EXPECT_EQ(back.Fingerprint(), g.Fingerprint());
   }
   std::remove(path.c_str());
 }
@@ -240,7 +245,25 @@ TEST_F(ShardIngestTest, TinyBytesBudgetStillReproducesTheGraph) {
 
   auto store = SsdGraphStore::Open(dir, 2);
   ASSERT_NE(store, nullptr);
-  EXPECT_EQ(ComposeGraphFingerprint(*store), g.Fingerprint());
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(ComposeGraphFingerprint(*store, &fingerprint).ok());
+  EXPECT_EQ(fingerprint, g.Fingerprint());
+  std::remove(path.c_str());
+}
+
+TEST_F(ShardIngestTest, ShardReadFaultReturnsNulloptInsteadOfAborting) {
+  const Graph g = ErdosRenyiGnm(120, 400, 41);
+  const std::string path = TempPath("ingest_fault.edges");
+  // sepriv-privflow: allow(leak): round-trip test serializes a synthetic fixture graph into a private temp dir
+  ASSERT_TRUE(WriteEdgeList(g, path));
+
+  // Every shard read fails, so the fingerprint pass over the freshly
+  // written shards exhausts the pool's retries on its first pin.
+  const std::string dir = TempDirFor("fault");
+  ASSERT_TRUE(failpoint::SetSpec("page_file.read=err"));
+  EXPECT_FALSE(ReadEdgeListToShards(path, dir, 2).has_value());
+  EXPECT_EQ(failpoint::HitCount("page_file.read"),
+            BufferPool::kMaxIoAttempts);
   std::remove(path.c_str());
 }
 

@@ -1,4 +1,4 @@
-// Integration tests for the out-of-core training path: TrainOutOfCore must
+// Integration tests for the out-of-core training path: TryTrainOutOfCore must
 // reproduce SePrivGEmb::Train() BIT-IDENTICALLY — model matrices, loss
 // curve, and privacy accounting — for every graph-store backend, shard
 // count, thread count, and buffer-pool budget.
@@ -52,6 +52,16 @@ Graph CompleteMinusMatching(size_t n) {
     }
   }
   return Graph::FromEdges(n, std::move(edges));
+}
+
+/// TryTrainOutOfCore with the degree preference, expecting success.
+TrainResult TrainOutOfCoreOk(GraphStore& store, const SePrivGEmbConfig& cfg,
+                             const OutOfCoreTrainOptions& ooc) {
+  TrainResult result;
+  const Status status = TryTrainOutOfCore(
+      store, ProximityKind::kPreferentialAttachment, cfg, ooc, &result);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return result;
 }
 
 std::vector<double> Degrees(const Graph& g) {
@@ -138,13 +148,11 @@ TEST_F(OocoreTrainTest, MatchesInMemoryTrainingAcrossStoresShardsAndThreads) {
         if (ssd) {
           auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
           ASSERT_NE(store, nullptr);
-          const TrainDigest got(TrainOutOfCore(
-              *store, ProximityKind::kPreferentialAttachment, cfg, ooc));
+          const TrainDigest got(TrainOutOfCoreOk(*store, cfg, ooc));
           EXPECT_EQ(got, ref);
         } else {
           InMemoryGraphStore store(g, shards);
-          const TrainDigest got(TrainOutOfCore(
-              store, ProximityKind::kPreferentialAttachment, cfg, ooc));
+          const TrainDigest got(TrainOutOfCoreOk(store, cfg, ooc));
           EXPECT_EQ(got, ref);
         }
       }
@@ -186,8 +194,7 @@ TEST_F(OocoreTrainTest, MatchesInMemoryForOtherPerturbationAndNormalization) {
     ooc.work_dir = root + "/work" + std::to_string(cell++);
     ooc.sample_pool_pages = 2;
     ooc.sample_page_bytes = 4096;
-    const TrainDigest got(TrainOutOfCore(
-        *store, ProximityKind::kPreferentialAttachment, cfg, ooc));
+    const TrainDigest got(TrainOutOfCoreOk(*store, cfg, ooc));
     EXPECT_EQ(got, ref);
   }
 }
@@ -207,8 +214,7 @@ TEST_F(OocoreTrainTest, WorkDirReuseHitsWarmCachesAndStaysIdentical) {
 
   auto store1 = SsdGraphStore::Open(shard_dir, 2);
   ASSERT_NE(store1, nullptr);
-  const TrainDigest cold(TrainOutOfCore(
-      *store1, ProximityKind::kPreferentialAttachment, cfg, ooc));
+  const TrainDigest cold(TrainOutOfCoreOk(*store1, cfg, ooc));
   EXPECT_TRUE(std::filesystem::exists(ooc.work_dir + "/samples.bin"));
 
   // Second run reuses the fingerprint-keyed per-shard proximity cache and
@@ -216,8 +222,7 @@ TEST_F(OocoreTrainTest, WorkDirReuseHitsWarmCachesAndStaysIdentical) {
   auto store2 = SsdGraphStore::Open(shard_dir, 2);
   ASSERT_NE(store2, nullptr);
   ooc.keep_sample_store = false;
-  const TrainDigest warm(TrainOutOfCore(
-      *store2, ProximityKind::kPreferentialAttachment, cfg, ooc));
+  const TrainDigest warm(TrainOutOfCoreOk(*store2, cfg, ooc));
   EXPECT_EQ(warm, cold);
   EXPECT_FALSE(std::filesystem::exists(ooc.work_dir + "/samples.bin"));
 }
@@ -290,8 +295,7 @@ TEST_F(OocoreTrainTest, DenseGraphSamplesMatchTheBulkSamplerOneByOne) {
   ooc.work_dir = root + "/work";
   ooc.sample_pool_pages = 2;
   ooc.keep_sample_store = true;
-  const TrainDigest got(TrainOutOfCore(
-      *store, ProximityKind::kPreferentialAttachment, cfg, ooc));
+  const TrainDigest got(TrainOutOfCoreOk(*store, cfg, ooc));
   EXPECT_EQ(got, ref);
 
   // The trainer's first draw seeds Algorithm 1, as in Train().
@@ -334,8 +338,7 @@ TEST_F(OocoreTrainTest, HaloBoundsGraphPoolMissesByRunsTimesShards) {
   OutOfCoreTrainOptions ooc;
   ooc.work_dir = root + "/work";
   ooc.sample_pool_pages = 2;
-  TrainOutOfCore(*store, ProximityKind::kPreferentialAttachment, BaseConfig(),
-                 ooc);
+  TrainOutOfCoreOk(*store, BaseConfig(), ooc);
   // Three sequential scans (degrees, proximity, Algorithm 1) miss at most
   // once per shard each, and a run pins each other shard at most once. A
   // pin-on-demand oracle switches shards about once per edge instead:

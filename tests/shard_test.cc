@@ -122,8 +122,9 @@ TEST_F(ShardTest, ComposeGraphFingerprintMatchesGraphForEveryShardCount) {
   const Graph g = BarabasiAlbert(300, 4, 17);
   for (size_t shards : {1UL, 2UL, 7UL, 64UL}) {
     InMemoryGraphStore store(g, shards);
-    EXPECT_EQ(ComposeGraphFingerprint(store), g.Fingerprint())
-        << shards << " shards";
+    uint64_t fingerprint = 0;
+    ASSERT_TRUE(ComposeGraphFingerprint(store, &fingerprint).ok());
+    EXPECT_EQ(fingerprint, g.Fingerprint()) << shards << " shards";
   }
 }
 
@@ -158,9 +159,12 @@ TEST_F(ShardTest, SsdRoundTripMaterializesIdenticalGraph) {
 
     auto store = SsdGraphStore::Open(dir, 2);
     ASSERT_NE(store, nullptr);
-    EXPECT_EQ(ComposeGraphFingerprint(*store), g.Fingerprint());
+    uint64_t fingerprint = 0;
+    ASSERT_TRUE(ComposeGraphFingerprint(*store, &fingerprint).ok());
+    EXPECT_EQ(fingerprint, g.Fingerprint());
 
-    const Graph back = MaterializeGraph(*store);
+    Graph back;
+    ASSERT_TRUE(MaterializeGraph(*store, &back).ok());
     EXPECT_EQ(back.Fingerprint(), g.Fingerprint());
     ASSERT_EQ(back.num_edges(), g.num_edges());
     const BufferPoolStats stats = store->pool().stats();
@@ -206,9 +210,8 @@ TEST_F(ShardTest, TruncatedShardFileIsRejectedAtOpen) {
 }
 
 TEST_F(ShardTest, CorruptShardPageAbortsOnPin) {
-  // The store's prefetch thread is alive when EXPECT_DEATH forks. Re-run
-  // the test in a fresh process instead, so the child cannot inherit the
-  // pool mutex that thread may hold at the fork and block on it forever.
+  // Re-run the test in a fresh process for the death, so the child never
+  // depends on which threads or locks the parent happens to hold at fork.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = BarabasiAlbert(100, 3, 37);
   const std::string dir = TempDirFor("badpage");

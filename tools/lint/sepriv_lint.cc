@@ -46,7 +46,8 @@
 //   unchecked-io         a statement that calls one of the repo's
 //                        failure-reporting IO entry points (PageFile
 //                        read/write/sync, buffer-pool pins, sample-store
-//                        appends, shard/checkpoint/atomic-file writers) and
+//                        appends, shard/checkpoint/atomic-file writers,
+//                        whole-store shard scans) and
 //                        throws the bool/Status result away — the ONLY
 //                        failure channel these calls have. `(void)` casts
 //                        do not exempt: silencing the compiler is not
@@ -297,6 +298,7 @@ const std::set<std::string>& IoResultFunctions() {
       // core/checkpoint.h + util/atomic_file.h + graph/shard.h
       "SaveCheckpoint", "LoadCheckpoint", "WriteFileAtomic",
       "ReadFileToString", "SaveShardManifest", "WriteGraphShards",
+      "ComposeGraphFingerprint", "MaterializeGraph",
   };
   return kSet;
 }

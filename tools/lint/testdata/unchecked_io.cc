@@ -26,6 +26,11 @@ Status SaveCheckpoint(const int& ckpt, const char* path);
 Status WriteFileAtomic(const char* path, const void* data, unsigned long n,
                        const char* failpoint_base);
 
+struct GraphStore;
+struct Graph;
+Status ComposeGraphFingerprint(GraphStore& store, unsigned long* out);
+Status MaterializeGraph(GraphStore& store, Graph* out);
+
 // --- Violations: the result is the only failure channel ---------------------
 
 void DiscardsEverywhere(PageFile& file, Writer& writer, char* buf) {
@@ -42,6 +47,14 @@ void PointerChainsAndVoidCasts(PageFile* file, Writer* writer, char* buf) {
   file->TrySync();  // expect-lint: unchecked-io
   // Casting to void silences -Wunused-result, not the lost error.
   (void)writer->Finish();  // expect-lint: unchecked-io
+}
+
+// A shard scan's Status is its only failure channel: the out-parameter is
+// left unset when a pin fails.
+void DiscardsShardScans(GraphStore& store, Graph* graph) {
+  unsigned long fingerprint = 0;
+  ComposeGraphFingerprint(store, &fingerprint);  // expect-lint: unchecked-io
+  MaterializeGraph(store, graph);  // expect-lint: unchecked-io
 }
 
 // --- Clean: every shape that consumes the result ----------------------------
