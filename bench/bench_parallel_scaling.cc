@@ -13,7 +13,9 @@
 //     sample-order reduction, non-zero Gaussian perturbation, row-parallel
 //     apply) at 1/2/4/8 worker threads and reports samples/second plus the
 //     speedup over the single-thread baseline, with a digest of the final
-//     Win (batch_step/t*).
+//     Win (batch_step/t*);
+//   * times ThreadPool's fork/join alone: microseconds per empty
+//     ParallelFor, back to back, at 2 and 4 threads (pool/handoff).
 // The `digests_identical` record is 1 only if every init digest agrees and
 // every batch-step digest agrees: both layers promise bit-identical results
 // for every thread count.
@@ -218,6 +220,30 @@ int main(int argc, char** argv) {
                     {"digest_lo",
                      static_cast<double>(digest & 0xffffffffULL)}});
   }
+
+  // Fork/join cost: an empty body over one chunk per thread, so every
+  // ParallelFor wakes (or finds spinning) every worker and waits for all of
+  // them. Best of three rounds.
+  constexpr size_t kHandoffReps = 20000;
+  std::vector<std::pair<std::string, double>> handoff;
+  for (size_t threads : {2UL, 4UL}) {
+    ThreadPool pool(threads);
+    const auto empty = [](size_t, size_t) {};
+    pool.ParallelFor(threads, 1, empty);  // warm-up: workers started
+    double us = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      WallTimer timer;
+      for (size_t r = 0; r < kHandoffReps; ++r) {
+        pool.ParallelFor(threads, 1, empty);
+      }
+      const double t = timer.ElapsedSeconds() * 1e6 / kHandoffReps;
+      us = rep == 0 ? t : std::min(us, t);
+    }
+    std::printf("# pool handoff, %zu threads: %.2f us per empty ParallelFor\n",
+                threads, us);
+    handoff.emplace_back("t" + std::to_string(threads) + "_us", us);
+  }
+  json.AddRecord("pool/handoff", handoff);
 
   const auto all_equal = [](const std::vector<uint64_t>& d) {
     return std::equal(d.begin() + 1, d.end(), d.begin());

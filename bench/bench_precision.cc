@@ -27,6 +27,9 @@
 //   SEPRIV_BENCH_PREC_DIM     table cols / embedding dim     (default 128)
 //   SEPRIV_BENCH_PREC_NODES   training graph size            (default 1500)
 //   SEPRIV_BENCH_PREC_EPOCHS  training epochs                (default 8)
+//   SEPRIV_BENCH_PRECISION_DIR  scratch directory for the two checkpoint
+//                             files (default /tmp/sepriv_bench_precision);
+//                             concurrent runs need one each
 //
 // `--json <path>` writes the rows machine-readably (bench_json.h).
 
@@ -211,7 +214,9 @@ int main(int argc, char** argv) {
 
   // Checkpoint bytes: the same f32-mode state saved as a v2 float payload
   // vs forced back to a double payload.
-  const std::string scratch = "/tmp/sepriv_bench_precision";
+  const std::string dir_env = GetStringEnv("SEPRIV_BENCH_PRECISION_DIR");
+  const std::string scratch =
+      dir_env.empty() ? "/tmp/sepriv_bench_precision" : dir_env;
   std::filesystem::create_directories(scratch);
   TrainCheckpoint ck;
   ck.graph_fingerprint = graph.Fingerprint();

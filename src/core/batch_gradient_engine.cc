@@ -266,16 +266,18 @@ void BatchGradientEngine::ApplyUpdate(SkipGramModel& model,
                                       double learning_rate) {
   const size_t dim = opts_.dim;
   const bool round_f32 = opts_.storage == EmbeddingStorage::kFloat32;
-  // Gather-axpy: slot s of the slab updates model row touched()[s].
-  const auto apply = [&](const SparseRowGrad& grads, Matrix& weights) {
+  // Gather-axpy: slot s of the slab updates model row touched()[s], and is
+  // zeroed right after, while it is still in cache, so the accumulators
+  // release their rows without a memset of the slab.
+  const auto apply = [&](SparseRowGrad& grads, Matrix& weights) {
     const std::vector<uint32_t>& rows = grads.touched();
     pool_.ParallelFor(rows.size(), kApplyGrain, [&](size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) {
         const std::span<double> row = weights.Row(rows[s]);
-        kernels::Axpy(-learning_rate,
-                      grads.SlotRow(static_cast<uint32_t>(s)).data(),
-                      row.data(), dim);
+        const std::span<double> grad = grads.SlotRow(static_cast<uint32_t>(s));
+        kernels::Axpy(-learning_rate, grad.data(), row.data(), dim);
         if (round_f32) RoundToFloat32(row);
+        std::fill(grad.begin(), grad.end(), 0.0);
       }
     });
   };
@@ -285,8 +287,8 @@ void BatchGradientEngine::ApplyUpdate(SkipGramModel& model,
   // accumulators, the model rows they update are DP-sanitized output.
   if (grad_in_.dp_sanitized()) model.w_in.MarkDpSanitized();
   if (grad_out_.dp_sanitized()) model.w_out.MarkDpSanitized();
-  grad_in_.Clear();
-  grad_out_.Clear();
+  grad_in_.ReleaseZeroedRows();
+  grad_out_.ReleaseZeroedRows();
 }
 
 }  // namespace sepriv

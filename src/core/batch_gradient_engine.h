@@ -32,10 +32,10 @@
 // Thread-safety model: the engine holds NO locks of its own — every phase
 // partitions its writes by ownership (per-sample scratch slots, per-slot
 // reduction ownership, per-block noise ranges) and synchronises only
-// through ThreadPool::ParallelFor's fork/join barrier, whose internal
-// discipline is machine-checked via the annotated Mutex (util/mutex.h,
-// -Wthread-safety under clang). A TryAccumulateBatch/Perturb*/ApplyUpdate
-// call is NOT reentrant: one engine serves one training loop.
+// through ThreadPool::ParallelFor's fork/join barrier, whose handshake
+// util/thread_pool.h documents and the TSan suites exercise. A
+// TryAccumulateBatch/Perturb*/ApplyUpdate call is NOT reentrant: one engine
+// serves one training loop.
 //
 // Samples reach the engine through the SampleSource interface so the batch
 // can live anywhere: the resident SubgraphTable, or a disk-backed store

@@ -11,9 +11,17 @@
 //      update; account one subsampled-Gaussian RDP step and stop when the
 //      δ̂ implied by the target ε would exceed δ (lines 8–10).
 //
-// The returned Win/Wout satisfy node-level (α, n·ε_γ(α))-RDP by Theorem 5 and
-// convert to (ε, δ)-DP via Theorem 1; downstream use is covered by
-// post-processing (Theorem 2).
+// The paper claims node-level (α, n·ε_γ(α))-RDP for the returned Win/Wout by
+// Theorem 5, converted to (ε, δ)-DP via Theorem 1. The default mechanism
+// (Eq. 9, PerturbationStrategy::kNonZero) does not meet it: it noises only
+// the rows a batch touched, so whether a row moved at all reveals whether a
+// batch touched it. In a canary probe (BA(200, 3) plus node 200, 200 seeds
+// with the edge (0, 200) and 200 with node 200 isolated; degree preference,
+// d = 32, B = 128, σ = 5, ε = 3.5) the canary's w_in row norm exceeded 1 in
+// 100 of 200 runs with the edge and in 0 of 200 without it, so no ε holds
+// at δ < 0.43. TrainResult::spent_epsilon is what the accountant charges,
+// not a guarantee of this mechanism; ROADMAP Direction 2 replaces it with
+// dense noise.
 
 #ifndef SEPRIVGEMB_CORE_SE_PRIVGEMB_H_
 #define SEPRIVGEMB_CORE_SE_PRIVGEMB_H_

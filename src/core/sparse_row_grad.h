@@ -13,8 +13,9 @@
 // Memory is O(|V| + touched·cols). At 10^5 nodes, r=128, B=1024 and k=5
 // the engine's two accumulators hold 0.8 MB of slots and at most 7.3 MB of
 // slab, where the dense pair held 205 MB. Clearing costs O(touched · cols)
-// — one memset of the slab prefix — and the noise of Eq. (9), Ñ(·), reaches
-// only the slab, i.e. only non-zero rows.
+// — one memset of the slab prefix, or none when the caller zeroed each row
+// as it consumed it (the engine's apply pass; ReleaseZeroedRows) — and the
+// noise of Eq. (9), Ñ(·), reaches only the slab, i.e. only non-zero rows.
 
 #ifndef SEPRIVGEMB_CORE_SPARSE_ROW_GRAD_H_
 #define SEPRIVGEMB_CORE_SPARSE_ROW_GRAD_H_
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "linalg/kernels.h"
+#include "util/check.h"
 #include "util/privacy_annotations.h"
 
 namespace sepriv {
@@ -52,8 +54,9 @@ class SEPRIV_SENSITIVE_SOURCE SparseRowGrad {
     if (slot == kNoSlot) {
       slot = static_cast<uint32_t>(touched_.size());
       touched_.push_back(r);
-      // Growth value-initialises, and Clear() re-zeroes every slot it used,
-      // so a fresh slot always starts at zero.
+      // Growth value-initialises, and every used slot is zero again before
+      // Clear() or ReleaseZeroedRows() returns it, so a fresh slot always
+      // starts at zero.
       if (slab_.size() < touched_.size() * cols_) {
         slab_.resize(touched_.size() * cols_);
       }
@@ -78,6 +81,15 @@ class SEPRIV_SENSITIVE_SOURCE SparseRowGrad {
     if (!touched_.empty()) {
       std::memset(slab_.data(), 0, touched_.size() * cols_ * sizeof(double));
     }
+    ReleaseZeroedRows();
+  }
+
+  /// Clear() for a caller that has already zeroed every used slot row:
+  /// forgets the touched rows without touching the slab; O(touched).
+  void ReleaseZeroedRows() {
+#ifndef NDEBUG
+    for (double x : slab()) SEPRIV_DCHECK(x == 0.0);
+#endif
     for (uint32_t r : touched_) slot_of_[r] = kNoSlot;
     touched_.clear();
   }

@@ -1,7 +1,8 @@
 #include "embedding/subgraph_sampler.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <limits>
 
 #include "util/check.h"
 
@@ -187,21 +188,36 @@ std::vector<uint32_t> SampleBatchIndices(size_t population, size_t batch_size,
                                          Rng& rng) {
   const size_t n = population;
   SEPRIV_CHECK(n > 0, "no subgraphs to sample");
+  // kEmpty marks a free slot, so no pick (at most n − 1) may equal it.
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  SEPRIV_CHECK(n <= kEmpty, "population %zu exceeds the uint32 index range",
+               n);
   const size_t m = std::min(batch_size, n);
   // Floyd's algorithm: uniform m-subset without replacement in O(m).
-  // Membership is tracked in a flat hash set keyed by index — the previous
-  // std::find over the picked vector made large private batches O(m²).
-  // Membership-only (never iterated), so hash order cannot reach the
-  // sampled picks; the draw order comes from `picked` and the rng stream.
+  // Membership lives in a flat open-addressing table of at least 2m slots
+  // (linear probing, multiplicative hash), so a batch costs one allocation
+  // instead of one node per pick. Membership-only (never iterated), so the
+  // table layout cannot reach the sampled picks; the draw order comes from
+  // `picked` and the rng stream.
+  const size_t slots = std::bit_ceil(2 * m);
+  const int shift = 64 - std::countr_zero(slots);
+  std::vector<uint32_t> table(slots, kEmpty);
+  // Inserts v; false if it was already present.
+  const auto insert = [&](uint32_t v) {
+    size_t h = (v * 0x9E3779B97F4A7C15ull) >> shift;
+    for (; table[h] != kEmpty; h = (h + 1) & (slots - 1)) {
+      if (table[h] == v) return false;
+    }
+    table[h] = v;
+    return true;
+  };
   std::vector<uint32_t> picked;
   picked.reserve(m);
-  std::unordered_set<uint32_t> in_pick;
-  in_pick.reserve(m);
   for (size_t j = n - m; j < n; ++j) {
     const auto t = static_cast<uint32_t>(rng.UniformInt(j + 1));
-    const uint32_t pick =
-        in_pick.insert(t).second ? t : static_cast<uint32_t>(j);
-    if (pick != t) in_pick.insert(pick);
+    // If t was picked before, j cannot have been: every earlier pick is < j.
+    const uint32_t pick = insert(t) ? t : static_cast<uint32_t>(j);
+    if (pick != t) insert(pick);
     picked.push_back(pick);
   }
   return picked;

@@ -327,109 +327,144 @@ inline __m256i Xor3(__m256i a, __m256i b, __m256i c) {
   return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
 }
 
-// Draws 2j and 2j+1 of pairs j = j0 .. j0+3: lane l of *z_even/*z_odd.
-inline void GaussianPairs4(const NoiseKey256& nk, uint64_t j0, __m256d* z_even,
-                           __m256d* z_odd) {
+// Draws 2j and 2j+1 of pairs j = j0 .. j0+4N-1: lane l of z_even[b] and
+// z_odd[b] holds pair j0 + 4b + l. Each stage runs over N independent
+// blocks before the next starts, so the core overlaps their dependency
+// chains; every lane performs the same operations whatever N is.
+template <int N>
+inline void GaussianPairs(const NoiseKey256& nk, uint64_t j0,
+                          __m256d (&z_even)[N], __m256d (&z_odd)[N]) {
   const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i j =
-      _mm256_add_epi64(_mm256_set1_epi64x(static_cast<int64_t>(j0)),
-                       _mm256_set_epi64x(3, 2, 1, 0));
-  __m256i c0 = j;
-  __m256i c1 = _mm256_srli_epi64(j, 32);
-  __m256i c2 = nk.s_lo;
-  __m256i c3 = nk.s_hi;
+  const __m256i lane = _mm256_set_epi64x(3, 2, 1, 0);
+  __m256i c0[N], c1[N], c2[N], c3[N];
+  for (int b = 0; b < N; ++b) {
+    const __m256i j = _mm256_add_epi64(
+        _mm256_set1_epi64x(static_cast<int64_t>(j0 + 4 * b)), lane);
+    c0[b] = j;
+    c1[b] = _mm256_srli_epi64(j, 32);
+    c2[b] = nk.s_lo;
+    c3[b] = nk.s_hi;
+  }
   const __m256i m0 = _mm256_set1_epi64x(philox::kM0);
   const __m256i m1 = _mm256_set1_epi64x(philox::kM1);
   for (int r = 0; r < philox::kRounds; ++r) {
-    const __m256i p0 = _mm256_mul_epu32(c0, m0);
-    const __m256i p1 = _mm256_mul_epu32(c2, m1);
-    c0 = Xor3(_mm256_srli_epi64(p1, 32), c1, nk.k0[r]);
-    c2 = Xor3(_mm256_srli_epi64(p0, 32), c3, nk.k1[r]);
-    c1 = p1;
-    c3 = p0;
+    for (int b = 0; b < N; ++b) {
+      const __m256i p0 = _mm256_mul_epu32(c0[b], m0);
+      const __m256i p1 = _mm256_mul_epu32(c2[b], m1);
+      c0[b] = Xor3(_mm256_srli_epi64(p1, 32), c1[b], nk.k0[r]);
+      c2[b] = Xor3(_mm256_srli_epi64(p0, 32), c3[b], nk.k1[r]);
+      c1[b] = p1;
+      c3[b] = p0;
+    }
   }
 
   // u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32.
-  const __m256d x0 = ExactToDouble(_mm256_and_si256(c0, lo32));
-  const __m256d x1 = ExactToDouble(_mm256_and_si256(c1, lo32));
-  const __m256d u1 = _mm256_mul_pd(
-      _mm256_fmadd_pd(_mm256_add_pd(x1, _mm256_set1_pd(0.5)),
-                      _mm256_set1_pd(0x1p-32), x0),
-      _mm256_set1_pd(0x1p-32));
+  __m256d u1[N];
+  for (int b = 0; b < N; ++b) {
+    const __m256d x0 = ExactToDouble(_mm256_and_si256(c0[b], lo32));
+    const __m256d x1 = ExactToDouble(_mm256_and_si256(c1[b], lo32));
+    u1[b] = _mm256_mul_pd(
+        _mm256_fmadd_pd(_mm256_add_pd(x1, _mm256_set1_pd(0.5)),
+                        _mm256_set1_pd(0x1p-32), x0),
+        _mm256_set1_pd(0x1p-32));
+  }
 
   // ln u1 = e·ln 2 + ln m, m ∈ [√½, √2).
   const __m256i sqrt_half = _mm256_set1_epi64x(philox::kSqrtHalfBits);
-  const __m256i d = _mm256_sub_epi64(_mm256_castpd_si256(u1), sqrt_half);
-  const __m256i biased = _mm256_srli_epi64(
-      _mm256_add_epi64(d, _mm256_set1_epi64x(0x3FF0000000000000LL)), 52);
-  const __m256d m = _mm256_castsi256_pd(_mm256_add_epi64(
-      _mm256_and_si256(d, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
-      sqrt_half));
-  const __m256d e =
-      _mm256_sub_pd(ExactToDouble(biased), _mm256_set1_pd(1023.0));
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d s =
-      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
-  const __m256d z = _mm256_mul_pd(s, s);
-  __m256d q = _mm256_set1_pd(philox::kLogQ[0]);
-  for (int k = 1; k < 10; ++k) {
-    q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(philox::kLogQ[k]));
+  __m256d e[N], s[N], z[N], q[N];
+  for (int b = 0; b < N; ++b) {
+    const __m256i d = _mm256_sub_epi64(_mm256_castpd_si256(u1[b]), sqrt_half);
+    const __m256i biased = _mm256_srli_epi64(
+        _mm256_add_epi64(d, _mm256_set1_epi64x(0x3FF0000000000000LL)), 52);
+    const __m256d m = _mm256_castsi256_pd(_mm256_add_epi64(
+        _mm256_and_si256(d, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
+        sqrt_half));
+    e[b] = _mm256_sub_pd(ExactToDouble(biased), _mm256_set1_pd(1023.0));
+    s[b] = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+    z[b] = _mm256_mul_pd(s[b], s[b]);
+    q[b] = _mm256_set1_pd(philox::kLogQ[0]);
   }
-  const __m256d ln_m =
-      _mm256_fmadd_pd(s, _mm256_mul_pd(z, q), _mm256_add_pd(s, s));
-  const __m256d ln_u1 = _mm256_fmadd_pd(
-      e, _mm256_set1_pd(philox::kLn2Hi),
-      _mm256_fmadd_pd(e, _mm256_set1_pd(philox::kLn2Lo), ln_m));
-  const __m256d r =
-      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_u1));
+  for (int k = 1; k < 10; ++k) {
+    const __m256d coeff = _mm256_set1_pd(philox::kLogQ[k]);
+    for (int b = 0; b < N; ++b) q[b] = _mm256_fmadd_pd(q[b], z[b], coeff);
+  }
+  __m256d r[N];
+  for (int b = 0; b < N; ++b) {
+    const __m256d ln_m = _mm256_fmadd_pd(s[b], _mm256_mul_pd(z[b], q[b]),
+                                         _mm256_add_pd(s[b], s[b]));
+    const __m256d ln_u1 = _mm256_fmadd_pd(
+        e[b], _mm256_set1_pd(philox::kLn2Hi),
+        _mm256_fmadd_pd(e[b], _mm256_set1_pd(philox::kLn2Lo), ln_m));
+    r[b] = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_u1));
+  }
 
   // θ = (π/2)·(quadrant + t).
-  const __m256i angle =
-      _mm256_or_si256(_mm256_slli_epi64(_mm256_and_si256(c2, lo32), 20),
-                      _mm256_srli_epi64(_mm256_and_si256(c3, lo32), 12));
-  const __m256i rounded =
-      _mm256_add_epi64(angle, _mm256_set1_epi64x(int64_t{1} << 49));
-  const __m256i quadrant = _mm256_and_si256(_mm256_srli_epi64(rounded, 50),
-                                            _mm256_set1_epi64x(3));
-  const __m256i rem_biased = _mm256_and_si256(  // t·2^50 + 2^49
-      rounded, _mm256_set1_epi64x((int64_t{1} << 50) - 1));
-  const __m256d t = _mm256_mul_pd(
-      _mm256_sub_pd(ExactToDouble(rem_biased), _mm256_set1_pd(0x1p49)),
-      _mm256_set1_pd(0x1p-50));
-  const __m256d w = _mm256_mul_pd(t, t);
-  __m256d sp = _mm256_set1_pd(philox::kSin[0]);
-  __m256d cp = _mm256_set1_pd(philox::kCos[0]);
-  for (int k = 1; k < 9; ++k) {
-    sp = _mm256_fmadd_pd(sp, w, _mm256_set1_pd(philox::kSin[k]));
-    cp = _mm256_fmadd_pd(cp, w, _mm256_set1_pd(philox::kCos[k]));
+  __m256i quadrant[N];
+  __m256d t[N], w[N], sp[N], cp[N];
+  for (int b = 0; b < N; ++b) {
+    const __m256i angle = _mm256_or_si256(
+        _mm256_slli_epi64(_mm256_and_si256(c2[b], lo32), 20),
+        _mm256_srli_epi64(_mm256_and_si256(c3[b], lo32), 12));
+    const __m256i rounded =
+        _mm256_add_epi64(angle, _mm256_set1_epi64x(int64_t{1} << 49));
+    quadrant[b] = _mm256_and_si256(_mm256_srli_epi64(rounded, 50),
+                                   _mm256_set1_epi64x(3));
+    const __m256i rem_biased = _mm256_and_si256(  // t·2^50 + 2^49
+        rounded, _mm256_set1_epi64x((int64_t{1} << 50) - 1));
+    t[b] = _mm256_mul_pd(
+        _mm256_sub_pd(ExactToDouble(rem_biased), _mm256_set1_pd(0x1p49)),
+        _mm256_set1_pd(0x1p-50));
+    w[b] = _mm256_mul_pd(t[b], t[b]);
+    sp[b] = _mm256_set1_pd(philox::kSin[0]);
+    cp[b] = _mm256_set1_pd(philox::kCos[0]);
   }
-  const __m256d sin_t = _mm256_mul_pd(t, sp);
-  // blendv selects on the sign bit: bit 0 of the quadrant moved to bit 63.
-  const __m256d odd = _mm256_castsi256_pd(_mm256_slli_epi64(quadrant, 63));
+  for (int k = 1; k < 9; ++k) {
+    const __m256d sin_coeff = _mm256_set1_pd(philox::kSin[k]);
+    const __m256d cos_coeff = _mm256_set1_pd(philox::kCos[k]);
+    for (int b = 0; b < N; ++b) {
+      sp[b] = _mm256_fmadd_pd(sp[b], w[b], sin_coeff);
+      cp[b] = _mm256_fmadd_pd(cp[b], w[b], cos_coeff);
+    }
+  }
   const __m256i two = _mm256_set1_epi64x(2);
-  const __m256d neg_cos = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_and_si256(_mm256_add_epi64(quadrant, _mm256_set1_epi64x(1)), two),
-      62));
-  const __m256d neg_sin = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_and_si256(quadrant, two), 62));
-  const __m256d cos_theta =
-      _mm256_xor_pd(_mm256_blendv_pd(cp, sin_t, odd), neg_cos);
-  const __m256d sin_theta =
-      _mm256_xor_pd(_mm256_blendv_pd(sin_t, cp, odd), neg_sin);
-  *z_even = _mm256_mul_pd(r, cos_theta);
-  *z_odd = _mm256_mul_pd(r, sin_theta);
+  for (int b = 0; b < N; ++b) {
+    const __m256d sin_t = _mm256_mul_pd(t[b], sp[b]);
+    // blendv selects on the sign bit: bit 0 of the quadrant moved to bit 63.
+    const __m256d odd =
+        _mm256_castsi256_pd(_mm256_slli_epi64(quadrant[b], 63));
+    const __m256d neg_cos = _mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_and_si256(
+            _mm256_add_epi64(quadrant[b], _mm256_set1_epi64x(1)), two),
+        62));
+    const __m256d neg_sin = _mm256_castsi256_pd(
+        _mm256_slli_epi64(_mm256_and_si256(quadrant[b], two), 62));
+    const __m256d cos_theta =
+        _mm256_xor_pd(_mm256_blendv_pd(cp[b], sin_t, odd), neg_cos);
+    const __m256d sin_theta =
+        _mm256_xor_pd(_mm256_blendv_pd(sin_t, cp[b], odd), neg_sin);
+    z_even[b] = _mm256_mul_pd(r[b], cos_theta);
+    z_odd[b] = _mm256_mul_pd(r[b], sin_theta);
+  }
 }
 
-// The 8 draws 2·j0 .. 2·j0+7 in index order.
-inline void GaussianDraws8(const NoiseKey256& nk, uint64_t j0, __m256d* lo,
-                           __m256d* hi) {
-  __m256d z_even, z_odd;
-  GaussianPairs4(nk, j0, &z_even, &z_odd);
-  const __m256d a = _mm256_unpacklo_pd(z_even, z_odd);  // e0 o0 e2 o2
-  const __m256d b = _mm256_unpackhi_pd(z_even, z_odd);  // e1 o1 e3 o3
-  *lo = _mm256_permute2f128_pd(a, b, 0x20);             // e0 o0 e1 o1
-  *hi = _mm256_permute2f128_pd(a, b, 0x31);             // e2 o2 e3 o3
+// The 8·N draws 2·j0 .. 2·j0+8N-1 in index order: lo[b] then hi[b] hold
+// draws 2·j0+8b .. 2·j0+8b+7.
+template <int N>
+inline void GaussianDraws(const NoiseKey256& nk, uint64_t j0, __m256d (&lo)[N],
+                          __m256d (&hi)[N]) {
+  __m256d z_even[N], z_odd[N];
+  GaussianPairs<N>(nk, j0, z_even, z_odd);
+  for (int b = 0; b < N; ++b) {
+    const __m256d a = _mm256_unpacklo_pd(z_even[b], z_odd[b]);  // e0 o0 e2 o2
+    const __m256d c = _mm256_unpackhi_pd(z_even[b], z_odd[b]);  // e1 o1 e3 o3
+    lo[b] = _mm256_permute2f128_pd(a, c, 0x20);                 // e0 o0 e1 o1
+    hi[b] = _mm256_permute2f128_pd(a, c, 0x31);                 // e2 o2 e3 o3
+  }
 }
+
+// Blocks per iteration of the main loop: 32 draws.
+constexpr int kNoiseBlocks = 4;
 
 void GaussianAccumulateAvx2(uint64_t key, uint64_t stream, uint64_t first,
                             double* dst, size_t n, double scale) {
@@ -440,24 +475,35 @@ void GaussianAccumulateAvx2(uint64_t key, uint64_t stream, uint64_t first,
   uint64_t i = first;
   double* out = dst;
   alignas(32) double buf[8];
-  __m256d lo, hi;
+  __m256d lo[1], hi[1];
   if ((i & 1) != 0) {  // odd start: the sin half of pair i/2
-    GaussianDraws8(nk, i >> 1, &lo, &hi);
-    _mm256_store_pd(buf, lo);
+    GaussianDraws<1>(nk, i >> 1, lo, hi);
+    _mm256_store_pd(buf, lo[0]);
     *out = std::fma(scale, buf[1], *out);
     ++out;
     ++i;
   }
+  for (; end - i >= 8 * kNoiseBlocks;
+       i += 8 * kNoiseBlocks, out += 8 * kNoiseBlocks) {
+    __m256d lon[kNoiseBlocks], hin[kNoiseBlocks];
+    GaussianDraws<kNoiseBlocks>(nk, i >> 1, lon, hin);
+    for (int b = 0; b < kNoiseBlocks; ++b) {
+      double* o = out + 8 * b;
+      _mm256_storeu_pd(o, _mm256_fmadd_pd(sv, lon[b], _mm256_loadu_pd(o)));
+      _mm256_storeu_pd(o + 4,
+                       _mm256_fmadd_pd(sv, hin[b], _mm256_loadu_pd(o + 4)));
+    }
+  }
   for (; end - i >= 8; i += 8, out += 8) {
-    GaussianDraws8(nk, i >> 1, &lo, &hi);
-    _mm256_storeu_pd(out, _mm256_fmadd_pd(sv, lo, _mm256_loadu_pd(out)));
+    GaussianDraws<1>(nk, i >> 1, lo, hi);
+    _mm256_storeu_pd(out, _mm256_fmadd_pd(sv, lo[0], _mm256_loadu_pd(out)));
     _mm256_storeu_pd(out + 4,
-                     _mm256_fmadd_pd(sv, hi, _mm256_loadu_pd(out + 4)));
+                     _mm256_fmadd_pd(sv, hi[0], _mm256_loadu_pd(out + 4)));
   }
   if (i < end) {
-    GaussianDraws8(nk, i >> 1, &lo, &hi);
-    _mm256_store_pd(buf, lo);
-    _mm256_store_pd(buf + 4, hi);
+    GaussianDraws<1>(nk, i >> 1, lo, hi);
+    _mm256_store_pd(buf, lo[0]);
+    _mm256_store_pd(buf + 4, hi[0]);
     for (size_t t = 0; t < end - i; ++t) {
       out[t] = std::fma(scale, buf[t], out[t]);
     }

@@ -339,111 +339,150 @@ inline __m512d ExactToDouble(__m512i v) {
                        _mm512_set1_pd(0x1p52));
 }
 
-// Draws 2j and 2j+1 of pairs j = j0 .. j0+7: lane l of *z_even/*z_odd.
-inline void GaussianPairs8(const NoiseKey512& nk, uint64_t j0, __m512d* z_even,
-                           __m512d* z_odd) {
+// Draws 2j and 2j+1 of pairs j = j0 .. j0+8N-1: lane l of z_even[b] and
+// z_odd[b] holds pair j0 + 8b + l. One block is a long dependency chain (ten
+// Philox rounds, a division, a Horner log, a square root and a Horner
+// sincos), so each stage runs over N independent blocks before the next
+// stage starts and the core overlaps the chains. Every lane performs the
+// same operations whatever N is, so N cannot move a bit.
+template <int N>
+inline void GaussianPairs(const NoiseKey512& nk, uint64_t j0,
+                          __m512d (&z_even)[N], __m512d (&z_odd)[N]) {
   const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i j =
-      _mm512_add_epi64(_mm512_set1_epi64(static_cast<int64_t>(j0)),
-                       _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
-  __m512i c0 = j;
-  __m512i c1 = _mm512_srli_epi64(j, 32);
-  __m512i c2 = nk.s_lo;
-  __m512i c3 = nk.s_hi;
+  const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  __m512i c0[N], c1[N], c2[N], c3[N];
+  for (int b = 0; b < N; ++b) {
+    const __m512i j = _mm512_add_epi64(
+        _mm512_set1_epi64(static_cast<int64_t>(j0 + 8 * b)), lane);
+    c0[b] = j;
+    c1[b] = _mm512_srli_epi64(j, 32);
+    c2[b] = nk.s_lo;
+    c3[b] = nk.s_hi;
+  }
   const __m512i m0 = _mm512_set1_epi64(philox::kM0);
   const __m512i m1 = _mm512_set1_epi64(philox::kM1);
   for (int r = 0; r < philox::kRounds; ++r) {
-    const __m512i p0 = _mm512_mul_epu32(c0, m0);
-    const __m512i p1 = _mm512_mul_epu32(c2, m1);
-    // 0x96: three-way xor.
-    c0 = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p1, 32), c1, nk.k0[r],
-                                   0x96);
-    c2 = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p0, 32), c3, nk.k1[r],
-                                   0x96);
-    c1 = p1;
-    c3 = p0;
+    for (int b = 0; b < N; ++b) {
+      const __m512i p0 = _mm512_mul_epu32(c0[b], m0);
+      const __m512i p1 = _mm512_mul_epu32(c2[b], m1);
+      // 0x96: three-way xor.
+      c0[b] = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p1, 32), c1[b],
+                                        nk.k0[r], 0x96);
+      c2[b] = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p0, 32), c3[b],
+                                        nk.k1[r], 0x96);
+      c1[b] = p1;
+      c3[b] = p0;
+    }
   }
 
   // u1 = (x0 + (x1 + 1/2)·2^-32)·2^-32.
-  const __m512d x0 = ExactToDouble(_mm512_and_si512(c0, lo32));
-  const __m512d x1 = ExactToDouble(_mm512_and_si512(c1, lo32));
-  const __m512d u1 = _mm512_mul_pd(
-      _mm512_fmadd_pd(_mm512_add_pd(x1, _mm512_set1_pd(0.5)),
-                      _mm512_set1_pd(0x1p-32), x0),
-      _mm512_set1_pd(0x1p-32));
+  __m512d u1[N];
+  for (int b = 0; b < N; ++b) {
+    const __m512d x0 = ExactToDouble(_mm512_and_si512(c0[b], lo32));
+    const __m512d x1 = ExactToDouble(_mm512_and_si512(c1[b], lo32));
+    u1[b] = _mm512_mul_pd(
+        _mm512_fmadd_pd(_mm512_add_pd(x1, _mm512_set1_pd(0.5)),
+                        _mm512_set1_pd(0x1p-32), x0),
+        _mm512_set1_pd(0x1p-32));
+  }
 
   // ln u1 = e·ln 2 + ln m, m ∈ [√½, √2).
   const __m512i sqrt_half = _mm512_set1_epi64(philox::kSqrtHalfBits);
-  const __m512i d = _mm512_sub_epi64(_mm512_castpd_si512(u1), sqrt_half);
-  const __m512i biased = _mm512_srli_epi64(
-      _mm512_add_epi64(d, _mm512_set1_epi64(0x3FF0000000000000LL)), 52);
-  const __m512d m = _mm512_castsi512_pd(_mm512_add_epi64(
-      _mm512_and_si512(d, _mm512_set1_epi64(0x000FFFFFFFFFFFFFLL)),
-      sqrt_half));
-  const __m512d e =
-      _mm512_sub_pd(ExactToDouble(biased), _mm512_set1_pd(1023.0));
   const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d s =
-      _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
-  const __m512d z = _mm512_mul_pd(s, s);
-  __m512d q = _mm512_set1_pd(philox::kLogQ[0]);
-  for (int k = 1; k < 10; ++k) {
-    q = _mm512_fmadd_pd(q, z, _mm512_set1_pd(philox::kLogQ[k]));
+  __m512d e[N], s[N], z[N], q[N];
+  for (int b = 0; b < N; ++b) {
+    const __m512i d = _mm512_sub_epi64(_mm512_castpd_si512(u1[b]), sqrt_half);
+    const __m512i biased = _mm512_srli_epi64(
+        _mm512_add_epi64(d, _mm512_set1_epi64(0x3FF0000000000000LL)), 52);
+    const __m512d m = _mm512_castsi512_pd(_mm512_add_epi64(
+        _mm512_and_si512(d, _mm512_set1_epi64(0x000FFFFFFFFFFFFFLL)),
+        sqrt_half));
+    e[b] = _mm512_sub_pd(ExactToDouble(biased), _mm512_set1_pd(1023.0));
+    s[b] = _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
+    z[b] = _mm512_mul_pd(s[b], s[b]);
+    q[b] = _mm512_set1_pd(philox::kLogQ[0]);
   }
-  const __m512d ln_m =
-      _mm512_fmadd_pd(s, _mm512_mul_pd(z, q), _mm512_add_pd(s, s));
-  const __m512d ln_u1 = _mm512_fmadd_pd(
-      e, _mm512_set1_pd(philox::kLn2Hi),
-      _mm512_fmadd_pd(e, _mm512_set1_pd(philox::kLn2Lo), ln_m));
-  const __m512d r =
-      _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(-2.0), ln_u1));
+  for (int k = 1; k < 10; ++k) {
+    const __m512d coeff = _mm512_set1_pd(philox::kLogQ[k]);
+    for (int b = 0; b < N; ++b) q[b] = _mm512_fmadd_pd(q[b], z[b], coeff);
+  }
+  __m512d r[N];
+  for (int b = 0; b < N; ++b) {
+    const __m512d ln_m = _mm512_fmadd_pd(s[b], _mm512_mul_pd(z[b], q[b]),
+                                         _mm512_add_pd(s[b], s[b]));
+    const __m512d ln_u1 = _mm512_fmadd_pd(
+        e[b], _mm512_set1_pd(philox::kLn2Hi),
+        _mm512_fmadd_pd(e[b], _mm512_set1_pd(philox::kLn2Lo), ln_m));
+    r[b] = _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(-2.0), ln_u1));
+  }
 
   // θ = (π/2)·(quadrant + t).
-  const __m512i angle =
-      _mm512_or_si512(_mm512_slli_epi64(_mm512_and_si512(c2, lo32), 20),
-                      _mm512_srli_epi64(_mm512_and_si512(c3, lo32), 12));
-  const __m512i rounded =
-      _mm512_add_epi64(angle, _mm512_set1_epi64(int64_t{1} << 49));
-  const __m512i quadrant =
-      _mm512_and_si512(_mm512_srli_epi64(rounded, 50), _mm512_set1_epi64(3));
-  const __m512i rem_biased = _mm512_and_si512(  // t·2^50 + 2^49
-      rounded, _mm512_set1_epi64((int64_t{1} << 50) - 1));
-  const __m512d t = _mm512_mul_pd(
-      _mm512_sub_pd(ExactToDouble(rem_biased), _mm512_set1_pd(0x1p49)),
-      _mm512_set1_pd(0x1p-50));
-  const __m512d w = _mm512_mul_pd(t, t);
-  __m512d sp = _mm512_set1_pd(philox::kSin[0]);
-  __m512d cp = _mm512_set1_pd(philox::kCos[0]);
-  for (int k = 1; k < 9; ++k) {
-    sp = _mm512_fmadd_pd(sp, w, _mm512_set1_pd(philox::kSin[k]));
-    cp = _mm512_fmadd_pd(cp, w, _mm512_set1_pd(philox::kCos[k]));
+  __m512i quadrant[N];
+  __m512d t[N], w[N], sp[N], cp[N];
+  for (int b = 0; b < N; ++b) {
+    const __m512i angle = _mm512_or_si512(
+        _mm512_slli_epi64(_mm512_and_si512(c2[b], lo32), 20),
+        _mm512_srli_epi64(_mm512_and_si512(c3[b], lo32), 12));
+    const __m512i rounded =
+        _mm512_add_epi64(angle, _mm512_set1_epi64(int64_t{1} << 49));
+    quadrant[b] = _mm512_and_si512(_mm512_srli_epi64(rounded, 50),
+                                   _mm512_set1_epi64(3));
+    const __m512i rem_biased = _mm512_and_si512(  // t·2^50 + 2^49
+        rounded, _mm512_set1_epi64((int64_t{1} << 50) - 1));
+    t[b] = _mm512_mul_pd(
+        _mm512_sub_pd(ExactToDouble(rem_biased), _mm512_set1_pd(0x1p49)),
+        _mm512_set1_pd(0x1p-50));
+    w[b] = _mm512_mul_pd(t[b], t[b]);
+    sp[b] = _mm512_set1_pd(philox::kSin[0]);
+    cp[b] = _mm512_set1_pd(philox::kCos[0]);
   }
-  const __m512d sin_t = _mm512_mul_pd(t, sp);
-  const __mmask8 odd = _mm512_test_epi64_mask(quadrant, _mm512_set1_epi64(1));
+  for (int k = 1; k < 9; ++k) {
+    const __m512d sin_coeff = _mm512_set1_pd(philox::kSin[k]);
+    const __m512d cos_coeff = _mm512_set1_pd(philox::kCos[k]);
+    for (int b = 0; b < N; ++b) {
+      sp[b] = _mm512_fmadd_pd(sp[b], w[b], sin_coeff);
+      cp[b] = _mm512_fmadd_pd(cp[b], w[b], cos_coeff);
+    }
+  }
   const __m512i two = _mm512_set1_epi64(2);
-  const __m512i neg_cos = _mm512_slli_epi64(
-      _mm512_and_si512(_mm512_add_epi64(quadrant, _mm512_set1_epi64(1)), two),
-      62);
-  const __m512i neg_sin =
-      _mm512_slli_epi64(_mm512_and_si512(quadrant, two), 62);
-  const __m512d cos_theta = _mm512_castsi512_pd(_mm512_xor_si512(
-      _mm512_castpd_si512(_mm512_mask_blend_pd(odd, cp, sin_t)), neg_cos));
-  const __m512d sin_theta = _mm512_castsi512_pd(_mm512_xor_si512(
-      _mm512_castpd_si512(_mm512_mask_blend_pd(odd, sin_t, cp)), neg_sin));
-  *z_even = _mm512_mul_pd(r, cos_theta);
-  *z_odd = _mm512_mul_pd(r, sin_theta);
+  for (int b = 0; b < N; ++b) {
+    const __m512d sin_t = _mm512_mul_pd(t[b], sp[b]);
+    const __mmask8 odd =
+        _mm512_test_epi64_mask(quadrant[b], _mm512_set1_epi64(1));
+    const __m512i neg_cos = _mm512_slli_epi64(
+        _mm512_and_si512(_mm512_add_epi64(quadrant[b], _mm512_set1_epi64(1)),
+                         two),
+        62);
+    const __m512i neg_sin =
+        _mm512_slli_epi64(_mm512_and_si512(quadrant[b], two), 62);
+    const __m512d cos_theta = _mm512_castsi512_pd(_mm512_xor_si512(
+        _mm512_castpd_si512(_mm512_mask_blend_pd(odd, cp[b], sin_t)),
+        neg_cos));
+    const __m512d sin_theta = _mm512_castsi512_pd(_mm512_xor_si512(
+        _mm512_castpd_si512(_mm512_mask_blend_pd(odd, sin_t, cp[b])),
+        neg_sin));
+    z_even[b] = _mm512_mul_pd(r[b], cos_theta);
+    z_odd[b] = _mm512_mul_pd(r[b], sin_theta);
+  }
 }
 
-// The 16 draws 2·j0 .. 2·j0+15 in index order.
-inline void GaussianDraws16(const NoiseKey512& nk, uint64_t j0, __m512d* lo,
-                            __m512d* hi) {
-  __m512d z_even, z_odd;
-  GaussianPairs8(nk, j0, &z_even, &z_odd);
-  *lo = _mm512_permutex2var_pd(
-      z_even, _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0), z_odd);
-  *hi = _mm512_permutex2var_pd(
-      z_even, _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), z_odd);
+// The 16·N draws 2·j0 .. 2·j0+16N-1 in index order: lo[b] then hi[b] hold
+// draws 2·j0+16b .. 2·j0+16b+15.
+template <int N>
+inline void GaussianDraws(const NoiseKey512& nk, uint64_t j0, __m512d (&lo)[N],
+                          __m512d (&hi)[N]) {
+  __m512d z_even[N], z_odd[N];
+  GaussianPairs<N>(nk, j0, z_even, z_odd);
+  for (int b = 0; b < N; ++b) {
+    lo[b] = _mm512_permutex2var_pd(
+        z_even[b], _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0), z_odd[b]);
+    hi[b] = _mm512_permutex2var_pd(
+        z_even[b], _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4), z_odd[b]);
+  }
 }
+
+// Blocks per iteration of the main loop: 64 draws.
+constexpr int kNoiseBlocks = 4;
 
 void GaussianAccumulateAvx512(uint64_t key, uint64_t stream, uint64_t first,
                               double* dst, size_t n, double scale) {
@@ -454,24 +493,35 @@ void GaussianAccumulateAvx512(uint64_t key, uint64_t stream, uint64_t first,
   uint64_t i = first;
   double* out = dst;
   alignas(64) double buf[16];
-  __m512d lo, hi;
+  __m512d lo[1], hi[1];
   if ((i & 1) != 0) {  // odd start: the sin half of pair i/2
-    GaussianDraws16(nk, i >> 1, &lo, &hi);
-    _mm512_store_pd(buf, lo);
+    GaussianDraws<1>(nk, i >> 1, lo, hi);
+    _mm512_store_pd(buf, lo[0]);
     *out = std::fma(scale, buf[1], *out);
     ++out;
     ++i;
   }
+  for (; end - i >= 16 * kNoiseBlocks;
+       i += 16 * kNoiseBlocks, out += 16 * kNoiseBlocks) {
+    __m512d lo4[kNoiseBlocks], hi4[kNoiseBlocks];
+    GaussianDraws<kNoiseBlocks>(nk, i >> 1, lo4, hi4);
+    for (int b = 0; b < kNoiseBlocks; ++b) {
+      double* o = out + 16 * b;
+      _mm512_storeu_pd(o, _mm512_fmadd_pd(sv, lo4[b], _mm512_loadu_pd(o)));
+      _mm512_storeu_pd(o + 8,
+                       _mm512_fmadd_pd(sv, hi4[b], _mm512_loadu_pd(o + 8)));
+    }
+  }
   for (; end - i >= 16; i += 16, out += 16) {
-    GaussianDraws16(nk, i >> 1, &lo, &hi);
-    _mm512_storeu_pd(out, _mm512_fmadd_pd(sv, lo, _mm512_loadu_pd(out)));
+    GaussianDraws<1>(nk, i >> 1, lo, hi);
+    _mm512_storeu_pd(out, _mm512_fmadd_pd(sv, lo[0], _mm512_loadu_pd(out)));
     _mm512_storeu_pd(out + 8,
-                     _mm512_fmadd_pd(sv, hi, _mm512_loadu_pd(out + 8)));
+                     _mm512_fmadd_pd(sv, hi[0], _mm512_loadu_pd(out + 8)));
   }
   if (i < end) {
-    GaussianDraws16(nk, i >> 1, &lo, &hi);
-    _mm512_store_pd(buf, lo);
-    _mm512_store_pd(buf + 8, hi);
+    GaussianDraws<1>(nk, i >> 1, lo, hi);
+    _mm512_store_pd(buf, lo[0]);
+    _mm512_store_pd(buf + 8, hi[0]);
     for (size_t t = 0; t < end - i; ++t) {
       out[t] = std::fma(scale, buf[t], out[t]);
     }

@@ -9,8 +9,9 @@ namespace sepriv::runner {
 
 // Thread-safety model: the runner owns no locks — each cell writes only its
 // own result slot (out[i]), and cross-cell synchronisation is exactly the
-// ParallelTasks fork/join barrier (linalg/kernels.cc), whose pool/latch
-// discipline is machine-checked by -Wthread-safety via util/mutex.h. Cell
+// ParallelTasks fork/join barrier (linalg/kernels.cc), whose latch is
+// machine-checked by -Wthread-safety via util/mutex.h and whose pool
+// handshake util/thread_pool.h documents. Cell
 // bodies must not share mutable state; everything they need arrives in the
 // per-cell CellContext.
 

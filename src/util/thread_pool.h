@@ -9,14 +9,31 @@
 // (and reduce in index order afterwards) get bit-identical output for every
 // thread count.
 //
-// Locking discipline (machine-checked by -Wthread-safety under clang): mu_
-// guards the job-control state; the job descriptor (body_/n_/grain_) is
-// published under mu_ before workers are notified and read lock-free inside
-// RunChunks — safe because a worker only enters RunChunks after observing
-// the new job_id_ under mu_ (acquire), which happens-after the descriptor
-// write (release), and the descriptor is immutable until every worker has
-// checked back in under mu_.
-
+// Handoff: spin, then park. An epoch forks several times within a few
+// milliseconds, so a worker that has just finished a job polls for the next
+// one kSpinPolls times, yielding its core between polls (so other processes
+// and the pool's own busy threads can run), and only then sleeps on
+// work_cv_. The caller likewise polls for the workers' check-in before it
+// sleeps on done_cv_. Back-to-back jobs therefore never touch the mutex or
+// a condition variable.
+//
+// Memory-ordering discipline (mu_ guards no data; it only makes the
+// park/wake handshakes free of lost wake-ups, and -Wthread-safety under
+// clang checks that every Wait holds it):
+//   * the job descriptor (body_/n_/grain_, cursor_ and pending_workers_) is
+//     written by the caller before it bumps job_seq_, and a worker reads
+//     the descriptor only after observing the new job_seq_ (acquire), so
+//     the reads happen-after the writes; the descriptor is not written
+//     again until every worker has checked in by decrementing
+//     pending_workers_ (acq_rel), after its last read;
+//   * a worker parks by registering in parked_workers_ and re-reading
+//     job_seq_ under mu_; the caller bumps job_seq_ and then reads
+//     parked_workers_. Both pairs are sequentially consistent, so either
+//     the worker sees the new job or the caller sees the parked worker and
+//     notifies under mu_ — which it cannot take until the worker waits;
+//   * the caller parks the same way through caller_parked_, and the worker
+//     whose check-in drops pending_workers_ to zero notifies done_cv_ under
+//     mu_ when it sees the flag set.
 #ifndef SEPRIVGEMB_UTIL_THREAD_POOL_H_
 #define SEPRIVGEMB_UTIL_THREAD_POOL_H_
 
@@ -55,8 +72,8 @@ class ThreadPool {
 
   ~ThreadPool() {
     {
-      MutexLock lock(mu_);
-      stop_ = true;
+      MutexLock lock(mu_);  // a parked worker re-reads stop_ under mu_
+      stop_.store(true, std::memory_order_release);
     }
     work_cv_.NotifyAll();
     for (auto& w : workers_) w.join();
@@ -79,26 +96,38 @@ class ThreadPool {
       body(0, n);
       return;
     }
-    {
+    body_ = &body;
+    n_ = n;
+    grain_ = grain;
+    cursor_.store(0, std::memory_order_relaxed);
+    pending_workers_.store(workers_.size(), std::memory_order_relaxed);
+    job_seq_.fetch_add(1, std::memory_order_seq_cst);  // publishes the job
+    if (parked_workers_.load(std::memory_order_seq_cst) != 0) {
       MutexLock lock(mu_);
-      body_ = &body;
-      n_ = n;
-      grain_ = grain;
-      cursor_.store(0, std::memory_order_relaxed);
-      pending_workers_ = workers_.size();
-      ++job_id_;
+      work_cv_.NotifyAll();
     }
-    work_cv_.NotifyAll();
     RunChunks(&body, n, grain);
+    for (int poll = 0; poll < kSpinPolls; ++poll) {
+      if (pending_workers_.load(std::memory_order_acquire) == 0) return;
+      std::this_thread::yield();
+    }
     MutexLock lock(mu_);
-    while (pending_workers_ != 0) done_cv_.Wait(mu_);
-    body_ = nullptr;
+    caller_parked_.store(true, std::memory_order_seq_cst);
+    while (pending_workers_.load(std::memory_order_seq_cst) != 0) {
+      done_cv_.Wait(mu_);
+    }
+    caller_parked_.store(false, std::memory_order_relaxed);
   }
 
  private:
+  // Polls of the job counter (or of the check-in count) before a thread
+  // parks on a condition variable. With a yield between polls this is about
+  // 0.1–0.2 ms on an idle core: longer than the gaps between an epoch's
+  // forks, and short enough that an idle pool soon stops taking CPU.
+  static constexpr int kSpinPolls = 200;
+
   /// Drains the shared cursor for one job. The descriptor is passed by value
-  /// so the hot loop never touches mu_-guarded state: the caller snapshots
-  /// (body, n, grain) while it provably holds mu_.
+  /// so the hot loop reads only the cursor.
   void RunChunks(const ChunkFn* body, size_t n, size_t grain) {
     size_t begin;
     while ((begin = cursor_.fetch_add(grain, std::memory_order_relaxed)) < n) {
@@ -106,24 +135,37 @@ class ThreadPool {
     }
   }
 
+  /// Waits for a job newer than `seen`: polls, then parks. Returns the new
+  /// job's number, or `seen` on shutdown.
+  uint64_t AwaitJob(uint64_t seen) SEPRIV_EXCLUDES(mu_) {
+    for (int poll = 0; poll < kSpinPolls; ++poll) {
+      const uint64_t job = job_seq_.load(std::memory_order_acquire);
+      if (job != seen) return job;
+      if (stop_.load(std::memory_order_acquire)) return seen;
+      std::this_thread::yield();
+    }
+    MutexLock lock(mu_);
+    parked_workers_.fetch_add(1, std::memory_order_seq_cst);
+    uint64_t job;
+    while ((job = job_seq_.load(std::memory_order_seq_cst)) == seen &&
+           !stop_.load(std::memory_order_acquire)) {
+      work_cv_.Wait(mu_);
+    }
+    parked_workers_.fetch_sub(1, std::memory_order_relaxed);
+    return job;
+  }
+
   void WorkerLoop() SEPRIV_EXCLUDES(mu_) {
     uint64_t seen_job = 0;
     for (;;) {
-      const ChunkFn* body;
-      size_t n, grain;
-      {
+      const uint64_t job = AwaitJob(seen_job);
+      if (job == seen_job) return;  // shutdown
+      seen_job = job;
+      RunChunks(body_, n_, grain_);
+      if (pending_workers_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+          caller_parked_.load(std::memory_order_seq_cst)) {
         MutexLock lock(mu_);
-        while (!stop_ && job_id_ == seen_job) work_cv_.Wait(mu_);
-        if (stop_) return;
-        seen_job = job_id_;
-        body = body_;  // snapshot the descriptor under the lock
-        n = n_;
-        grain = grain_;
-      }
-      RunChunks(body, n, grain);
-      {
-        MutexLock lock(mu_);
-        if (--pending_workers_ == 0) done_cv_.NotifyAll();
+        done_cv_.NotifyAll();
       }
     }
   }
@@ -131,18 +173,20 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 
   Mutex mu_;
-  CondVar work_cv_;  // new job or shutdown
-  CondVar done_cv_;  // all workers checked in for the current job
-  bool stop_ SEPRIV_GUARDED_BY(mu_) = false;
+  CondVar work_cv_;  // new job or shutdown, for parked workers
+  CondVar done_cv_;  // every worker checked in, for a parked caller
+  std::atomic<bool> stop_{false};
   // Bumped once per ParallelFor; each worker joins a given job exactly once.
-  uint64_t job_id_ SEPRIV_GUARDED_BY(mu_) = 0;
-  size_t pending_workers_ SEPRIV_GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> job_seq_{0};
+  std::atomic<size_t> pending_workers_{0};  // not yet checked in
+  std::atomic<size_t> parked_workers_{0};   // waiting on work_cv_
+  std::atomic<bool> caller_parked_{false};  // caller waiting on done_cv_
 
-  // Current job descriptor (valid while a ParallelFor is in flight).
-  const ChunkFn* body_ SEPRIV_GUARDED_BY(mu_) = nullptr;
-  size_t n_ SEPRIV_GUARDED_BY(mu_) = 0;
-  size_t grain_ SEPRIV_GUARDED_BY(mu_) = 1;
-  std::atomic<size_t> cursor_{0};  // atomic: shared by design, not guarded
+  // Current job descriptor, published by job_seq_ (see the header comment).
+  const ChunkFn* body_ = nullptr;
+  size_t n_ = 0;
+  size_t grain_ = 1;
+  std::atomic<size_t> cursor_{0};
 };
 
 }  // namespace sepriv

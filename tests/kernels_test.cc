@@ -376,11 +376,13 @@ TEST(GaussianAccumulateTest, BitIdenticalAcrossLevels) {
   const auto levels = SupportedLevels();
   Rng rng(41);
   // An odd offset into the buffer keeps dst off every vector alignment.
-  std::vector<double> init(1 + 67);
+  // n up to 200 covers the 64-draw iterations, their 16-draw remainder and
+  // the tail at every offset.
+  std::vector<double> init(1 + 200);
   for (double& x : init) x = rng.Uniform(-3.0, 3.0);
   for (uint64_t first : {uint64_t{0}, uint64_t{1}, uint64_t{6}, uint64_t{13},
                          (uint64_t{1} << 32) - 1, (uint64_t{1} << 40) + 2}) {
-    for (size_t n = 0; n <= 67; ++n) {
+    for (size_t n = 0; n <= 200; ++n) {
       simd::SetLevel(simd::Level::kScalar);
       std::vector<double> want = init;
       kernels::GaussianAccumulate(7, 1, first, want.data() + 1, n, -0.75);
@@ -401,7 +403,7 @@ TEST(GaussianAccumulateTest, BitIdenticalAcrossLevels) {
 // Counter-based: a fill split at any point, in either order, is one fill.
 TEST(GaussianAccumulateTest, SplitAtEveryPointEqualsOneFill) {
   LevelGuard guard;
-  const size_t n = 53;
+  const size_t n = 133;  // two 64-draw iterations and a tail
   for (simd::Level level : SupportedLevels()) {
     simd::SetLevel(level);
     std::vector<double> whole(n, 0.5);

@@ -46,6 +46,18 @@ inline Registry& GetRegistry() {
   return registry;
 }
 
+/// True in a threadsafe death test's child, which GoogleTest starts with
+/// --gtest_internal_run_death_test. The flag is read directly because
+/// testing::internal::InDeathTestChild() consults the death-test style,
+/// which a test that sets it in its body has not set yet during SetUp().
+/// GoogleTest up to 1.11 declares the flag in testing::internal and later
+/// releases in testing; the using-directives find either.
+inline bool InDeathTestChild() {
+  using namespace ::testing;
+  using namespace ::testing::internal;
+  return !GTEST_FLAG(internal_run_death_test).empty();
+}
+
 }  // namespace test_tmpdir_internal
 
 /// Scratch directory of the running test in this process:
@@ -54,21 +66,34 @@ inline Registry& GetRegistry() {
 /// The first call in a test clears anything a previous process with the same
 /// pid left there and creates the directory empty; later calls in the same
 /// test return it untouched, so a test may call this as often as it likes.
+///
+/// A threadsafe death test re-runs the whole test in a child process that
+/// usually aborts before its registry can clean up. The child therefore
+/// works in child_<pid> inside its parent's directory, named by the
+/// parent's pid and never cleared, and the parent's registry removes both.
+/// The parent must call TestTmpDir() before the death statement, as a
+/// fixture's SetUp does.
 inline std::string TestTmpDir() {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = "sepriv_" + std::to_string(::getpid()) + "_";
-  name += info != nullptr ? std::string(info->test_suite_name()) + "." +
-                                info->name()
-                          : std::string("no_test");
-  for (char& c : name) {
+  std::string test = info != nullptr ? std::string(info->test_suite_name()) +
+                                           "." + info->name()
+                                     : std::string("no_test");
+  for (char& c : test) {
     if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' &&
         c != '-') {
       c = '_';
     }
   }
+  const auto dir_of = [&](pid_t pid) {
+    return std::filesystem::path(::testing::TempDir()) /
+           ("sepriv_" + std::to_string(pid) + "_" + test);
+  };
   const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / name).string();
+      !test_tmpdir_internal::InDeathTestChild()
+          ? dir_of(::getpid()).string()
+          : (dir_of(::getppid()) / ("child_" + std::to_string(::getpid())))
+                .string();
 
   test_tmpdir_internal::Registry& registry =
       test_tmpdir_internal::GetRegistry();

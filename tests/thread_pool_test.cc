@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace sepriv {
@@ -90,6 +92,81 @@ TEST(ThreadPoolTest, SmallJobRunsInlineOnCaller) {
     body_thread = std::this_thread::get_id();
   });
   EXPECT_EQ(body_thread, caller);
+}
+
+// The handoff polls for ~0.1–0.2 ms after each job and then parks. These
+// gaps sit inside and past that window.
+void GapInsidePollWindow() {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+void GapPastPollWindow() {
+  // sepriv-lint: allow(sleep-wait): the idle gap is what is under test — the workers must exhaust their polls and park
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+}
+
+// Runs one job over [0, n) and checks that every index ran exactly once.
+void ExpectEachIndexOnce(ThreadPool& pool, size_t n, size_t grain) {
+  std::vector<std::atomic<int>> hits(n);
+  pool.ParallelFor(n, grain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
+  }
+}
+
+TEST(ThreadPoolTest, HandoffAcrossSpinningAndParkedWorkers) {
+  // Jobs back to back, a short gap apart and a long gap apart, in an order
+  // that switches between the spinning and the parked path both ways.
+  for (size_t threads : {2UL, 4UL}) {
+    ThreadPool pool(threads);
+    for (size_t round = 0; round < 60; ++round) {
+      ExpectEachIndexOnce(pool, 1 + (round * 37) % 300, 1 + round % 5);
+      if (round % 3 == 1) GapInsidePollWindow();
+      if (round % 3 == 2) GapPastPollWindow();
+    }
+  }
+}
+
+TEST(ThreadPoolTest, NestedPoolInsideABody) {
+  // A body may build and use a pool of its own, as RunCells' cells do: the
+  // inner pools' handoffs run while the outer workers are busy.
+  ThreadPool outer(4);
+  const size_t cells = 8, n = 200;
+  std::vector<std::atomic<int>> hits(cells * n);
+  outer.ParallelFor(cells, 1, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      ThreadPool inner(2);
+      for (size_t part = 0; part < 4; ++part) {
+        inner.ParallelFor(n / 4, 3, [&](size_t b, size_t e) {
+          for (size_t i = b; i < e; ++i) hits[c * n + part * (n / 4) + i]++;
+        });
+        if (part == 1) GapPastPollWindow();
+      }
+    }
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, DestroyedWhileWorkersSpinOrPark) {
+  for (int round = 0; round < 10; ++round) {
+    { ThreadPool never_used(4); }  // workers still in their first polls
+    {
+      ThreadPool spinning(4);
+      ExpectEachIndexOnce(spinning, 64, 2);
+    }
+    {
+      ThreadPool parked(4);
+      ExpectEachIndexOnce(parked, 64, 2);
+      GapPastPollWindow();
+    }
+  }
 }
 
 }  // namespace
