@@ -54,9 +54,10 @@ EdgeProximity BuildEdgeProximity(const Graph& graph, ProximityKind kind,
   // Parallel precompute with cache-through persistence: every sweep binary
   // recomputes a given (graph, preference) pair at most once per machine
   // when SEPRIV_PROXIMITY_CACHE points at a directory.
+  const SePrivGEmbConfig defaults;
   return CachedEdgeProximities(graph, *provider, opts,
-                               SePrivGEmbConfig{}.ResolvedThreads(),
-                               ProximityCacheDirFromEnv());
+                               defaults.ResolvedThreads(),
+                               defaults.ResolvedProximityCachePath());
 }
 
 SePrivGEmbConfig DefaultConfig(const Profile& profile) {

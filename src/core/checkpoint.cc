@@ -16,7 +16,8 @@ constexpr uint64_t kCheckpointMagic = 0x4b43564952504553ULL;
 // v3: same layout; the engine's noise moved to the counter-based generator,
 // so a v2 model resumed now would splice two noise streams into a run that
 // neither binary produces from scratch.
-constexpr uint64_t kCheckpointVersion = 3;
+// v4: preference-digest word after config_digest.
+constexpr uint64_t kCheckpointVersion = 4;
 
 // Per-matrix precision tags.
 constexpr uint64_t kPrecisionF64 = 0;
@@ -138,12 +139,14 @@ Status SaveCheckpoint(const TrainCheckpoint& ckpt, const std::string& path) {
   const size_t elem_bytes =
       precision == kPrecisionF32 ? sizeof(float) : sizeof(double);
   std::string buf;
-  buf.reserve(160 + (ckpt.w_in.size() + ckpt.w_out.size()) * elem_bytes +
+  // 17 header words, two 4-word matrix headers and the checksum word.
+  buf.reserve(208 + (ckpt.w_in.size() + ckpt.w_out.size()) * elem_bytes +
               ckpt.loss_curve.size() * sizeof(double));
   AppendU64(&buf, kCheckpointMagic);
   AppendU64(&buf, kCheckpointVersion);
   AppendU64(&buf, ckpt.graph_fingerprint);
   AppendU64(&buf, ckpt.config_digest);
+  AppendU64(&buf, ckpt.preference_digest);
   AppendU64(&buf, precision);
   AppendU64(&buf, ckpt.epochs_run);
   AppendU64(&buf, ckpt.accountant_steps);
@@ -185,6 +188,7 @@ Status LoadCheckpoint(const std::string& path, TrainCheckpoint* out) {
   }
   out->graph_fingerprint = r.U64();
   out->config_digest = r.U64();
+  out->preference_digest = r.U64();
   const uint64_t storage_word = r.U64();
   if (storage_word != kPrecisionF64 && storage_word != kPrecisionF32) {
     return CorruptionError(path + ": unknown storage mode");

@@ -10,10 +10,12 @@
 // new epoch, so GetEpsilon() reports the spend of ALL epochs ever run against
 // this (graph, config) pair, not just the ones since the last crash.
 //
-// Binding: a checkpoint records the graph fingerprint and the config's
-// result-affecting digest, and loading rejects a mismatch — resuming under
-// different data or hyper-parameters would otherwise blend two training runs
-// (and two privacy analyses) into one meaningless artifact.
+// Binding: a checkpoint records the graph fingerprint, the config's
+// result-affecting digest and a digest of the structure preference the run
+// trains on (its per-edge weights and min(P)), and resuming rejects a
+// mismatch — resuming under different data, hyper-parameters or preference
+// would otherwise blend two training runs (and two privacy analyses) into
+// one meaningless artifact.
 //
 // Privacy note: the serialized model is PRE-publication state. Under
 // PerturbationStrategy::kNone it is raw-graph-derived and must be treated as
@@ -51,6 +53,9 @@ namespace sepriv {
 struct SEPRIV_SENSITIVE_SOURCE TrainCheckpoint {
   uint64_t graph_fingerprint = 0;  // Graph::Fingerprint() of the training graph
   uint64_t config_digest = 0;      // SePrivGEmbConfig::Digest()
+  /// FnvDigest of min(P) followed by every per-edge weight the run trains
+  /// on, in edge order (format v4).
+  uint64_t preference_digest = 0;
 
   /// Numeric storage mode of the run (format v2). Under kFloat32 the model
   /// matrices are serialized as float payloads — lossless, because the

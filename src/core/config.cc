@@ -34,8 +34,7 @@ size_t SePrivGEmbConfig::ResolvedThreads() const {
 std::string SePrivGEmbConfig::ResolvedProximityCachePath() const {
   if (proximity_cache_path == "-") return "";  // forced off
   if (!proximity_cache_path.empty()) return proximity_cache_path;
-  // Same knob ProximityCacheDirFromEnv() reads; duplicated here so the core
-  // config doesn't pull in the whole proximity-engine header for one getenv.
+  // The one reader of SEPRIV_PROXIMITY_CACHE.
   return GetStringEnv("SEPRIV_PROXIMITY_CACHE");
 }
 

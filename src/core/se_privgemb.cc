@@ -15,6 +15,7 @@
 #include "proximity/proximity_engine.h"
 #include "util/alias_table.h"
 #include "util/check.h"
+#include "util/digest.h"
 #include "util/thread_pool.h"
 
 namespace sepriv {
@@ -28,24 +29,28 @@ struct CheckpointPlan {
   const TrainCheckpointOptions* options = nullptr;
   uint64_t graph_fingerprint = 0;
   uint64_t config_digest = 0;
+  uint64_t preference_digest = 0;
   const TrainCheckpoint* resume = nullptr;
 };
 
 /// Fills `plan` for a run with checkpointing enabled: loads a snapshot from
-/// `options.path` if one exists and verifies it matches this (graph, config)
-/// before arming the resume. A missing file is a fresh start (or an error
-/// under `require_checkpoint`); an unreadable or mismatched one is always an
-/// error — the file records privacy budget already spent, so discarding it
-/// must be the caller's explicit decision (delete the file), never a silent
-/// retrain.
+/// `options.path` if one exists and verifies it matches this (graph, config,
+/// preference) before arming the resume. A missing file is a fresh start (or
+/// an error under `require_checkpoint`); an unreadable or mismatched one is
+/// always an error — the file records privacy budget already spent, so
+/// discarding it must be the caller's explicit decision (delete the file),
+/// never a silent retrain.
 Status ResolveCheckpointPlan(const TrainCheckpointOptions& options,
                              uint64_t graph_fingerprint,
-                             uint64_t config_digest, bool require_checkpoint,
+                             uint64_t config_digest,
+                             uint64_t preference_digest,
+                             bool require_checkpoint,
                              TrainCheckpoint* resume_ck,
                              CheckpointPlan* plan) {
   plan->options = &options;
   plan->graph_fingerprint = graph_fingerprint;
   plan->config_digest = config_digest;
+  plan->preference_digest = preference_digest;
   const Status load = LoadCheckpoint(options.path, resume_ck);
   if (load.ok()) {
     if (resume_ck->graph_fingerprint != graph_fingerprint) {
@@ -55,6 +60,12 @@ Status ResolveCheckpointPlan(const TrainCheckpointOptions& options,
     if (resume_ck->config_digest != config_digest) {
       return FailedPreconditionError(
           options.path + " was checkpointed under a different config");
+    }
+    if (resume_ck->preference_digest != preference_digest) {
+      return FailedPreconditionError(
+          options.path +
+          " was checkpointed under a different structure preference (its "
+          "per-edge weights or min(P) differ)");
     }
     plan->resume = resume_ck;
     return OkStatus();
@@ -221,6 +232,7 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
       TrainCheckpoint ck;
       ck.graph_fingerprint = plan.graph_fingerprint;
       ck.config_digest = plan.config_digest;
+      ck.preference_digest = plan.preference_digest;
       ck.storage = cfg.embedding_storage;
       ck.epochs_run = result.epochs_run;
       ck.accountant_steps = accountant ? accountant->steps() : 0;
@@ -349,9 +361,12 @@ Status SePrivGEmb::TrainInternal(const TrainCheckpointOptions* ckpt,
   CheckpointPlan plan;
   TrainCheckpoint resume_ck;
   if (ckpt != nullptr) {
+    const uint64_t preference_digest =
+        FnvDigest(weights_->data(), weights_->size() * sizeof(double),
+                  FnvDigest(&min_weight_, sizeof(min_weight_)));
     SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
-        *ckpt, graph_.Fingerprint(), cfg.Digest(), require_checkpoint,
-        &resume_ck, &plan));
+        *ckpt, graph_.Fingerprint(), cfg.Digest(), preference_digest,
+        require_checkpoint, &resume_ck, &plan));
   }
 
   Rng rng(cfg.seed);
@@ -404,14 +419,6 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   const std::string cache_root = ooc.work_dir + "/proxcache";
   const uint64_t graph_fp = store.fingerprint();
 
-  CheckpointPlan plan;
-  TrainCheckpoint resume_ck;
-  if (!ooc.checkpoint.path.empty()) {
-    SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
-        ooc.checkpoint, graph_fp, cfg.Digest(),
-        /*require_checkpoint=*/false, &resume_ck, &plan));
-  }
-
   // Degree vector: the node-level oracle state of the degree preference.
   // O(|V|) resident, one sequential shard scan. Shard reads that fail their
   // bounded recovery surface as structured errors from here on.
@@ -443,6 +450,10 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   const double min_weight = cfg.normalize_proximity
                                 ? fin.normalized_min_positive()
                                 : fin.min_positive();
+  // A checkpoint binds the weights pass B writes, hashed shard by shard in
+  // edge order: the digest the in-memory trainer takes of its table.
+  const bool checkpointing = !ooc.checkpoint.path.empty();
+  uint64_t preference_digest = FnvDigest(&min_weight, sizeof(min_weight));
 
   Rng rng(cfg.seed);
   TrainResult result;
@@ -455,7 +466,17 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   const uint64_t sampler_seed = rng.Next();
   result.model = SkipGramModel(n, cfg.dim, rng);
 
+  // The sample store holds every edge with its negatives and weight, so it
+  // is unlinked on every exit, after the store below has closed it, unless
+  // the caller keeps it.
   const std::string samples_path = ooc.work_dir + "/samples.bin";
+  struct RemoveOnExit {
+    const std::string& path;
+    bool armed;
+    ~RemoveOnExit() {
+      if (armed) std::remove(path.c_str());
+    }
+  } remove_samples{samples_path, !ooc.keep_sample_store};
   {
     ShardHaloOracle oracle(store, provider.degrees());
     SubgraphGenerator gen(oracle, cfg.negatives, sampler_seed,
@@ -478,6 +499,10 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
       // the sealed finalizer turns them into the stored p_ij weights.
       const ShardProximity sp = CachedShardProximities(
           view, s, graph_fp, provider, prox_opts, pool, cache_root);
+      const auto weight = [&](size_t k) {  // the stored p_ij of edge k here
+        const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
+        return cfg.normalize_proximity ? fin.Normalized(sym) : fin.Value(sym);
+      };
       // Edges go in index order (the generator's RNG stream depends on it),
       // in runs whose centers' rows the oracle's halo holds. Without the
       // non-adjacency test the generator never probes: one run, no halo.
@@ -491,14 +516,16 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
           }
         }
         if (!halo.ok()) return;
-        const size_t k = e - view.edge_begin;
-        const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
-        const double w =
-            cfg.normalize_proximity ? fin.Normalized(sym) : fin.Value(sym);
         gen.Next(u, v, static_cast<uint32_t>(e), scratch);
-        ok = writer->Append(scratch, w) && ok;
+        ok = writer->Append(scratch, weight(e - view.edge_begin)) && ok;
       });
       SEPRIV_RETURN_IF_ERROR(halo);
+      if (checkpointing) {
+        for (size_t k = 0; k < view.edge_count; ++k) {
+          const double w = weight(k);
+          preference_digest = FnvDigest(&w, sizeof(w), preference_digest);
+        }
+      }
     }
     ok = writer->Finish() && ok;
     if (!ok) {
@@ -516,12 +543,16 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   }
   SEPRIV_CHECK(samples->size() == num_edges, "sample store size mismatch");
 
+  CheckpointPlan plan;
+  TrainCheckpoint resume_ck;
+  if (checkpointing) {
+    SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
+        ooc.checkpoint, graph_fp, cfg.Digest(), preference_digest,
+        /*require_checkpoint=*/false, &resume_ck, &plan));
+  }
   SEPRIV_RETURN_IF_ERROR(RunEpochs(cfg, n, min_weight, *samples,
                                    /*positive_alias=*/nullptr, result.model,
                                    rng, plan, result));
-
-  samples.reset();  // close before unlinking
-  if (!ooc.keep_sample_store) std::remove(samples_path.c_str());
   *out = std::move(result);
   return OkStatus();
 }

@@ -148,8 +148,8 @@ struct OutOfCoreTrainOptions {
   /// are fingerprint-keyed.
   std::string work_dir;
 
-  /// BufferPool budget for the sample store, in pages. 0 = auto
-  /// (SEPRIV_POOL_PAGES, fallback 4); one page suffices.
+  /// BufferPool budget for the sample store, in pages. 0 means
+  /// kDefaultPoolPages; one page suffices.
   size_t sample_pool_pages = 0;
 
   /// Page size of the sample store file. 0 = kSampleStorePageBytes.

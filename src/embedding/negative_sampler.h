@@ -1,10 +1,9 @@
-// Negative-sampling distributions P_n(v) (paper §IV-B).
-//
-// Theorem 3's unified design makes P_n constant in the candidate node — i.e.
-// uniform sampling — which UniformNonNeighborSampler provides. The classic
-// degree-proportional design of prior work (Eq. 14, P_n(v) ∝ d_v^pow) is
-// provided for the comparison in §IV-B ("Comparison with Prior Works") and
-// for ablation benches.
+// sepriv-lint: allow(test-only-module): only tests/random_walk_test.cc reaches it; ROADMAP Direction 7 stage 2 deletes it together with random_walk
+// Degree-proportional negative sampling, P_n(v) ∝ d_v^power: the classic
+// design of prior work (Eq. 14) that §IV-B ("Comparison with Prior Works")
+// contrasts with Theorem 3's uniform non-neighbour negatives. SE-PrivGEmb
+// draws its own negatives in SubgraphGenerator (Algorithm 1); no library
+// code uses this sampler.
 
 #ifndef SEPRIVGEMB_EMBEDDING_NEGATIVE_SAMPLER_H_
 #define SEPRIVGEMB_EMBEDDING_NEGATIVE_SAMPLER_H_
@@ -17,43 +16,6 @@
 #include "util/rng.h"
 
 namespace sepriv {
-
-/// Uniform over nodes non-adjacent to the center (Algorithm 1's rejection
-/// loop, reusable at training time).
-class UniformNonNeighborSampler {
- public:
-  explicit UniformNonNeighborSampler(const Graph& graph) : graph_(graph) {}
-
-  /// One negative for `center`. When rejection sampling exhausts its budget
-  /// (dense neighbourhood), the valid non-neighbor set is reservoir-sampled
-  /// directly — the old fallback of "any node != center" could hand back a
-  /// NEIGHBOR of the center, violating Theorem 3's non-neighbor negative
-  /// design. Only a center adjacent to every other node (no valid candidate
-  /// exists at all) relaxes to an arbitrary non-center node.
-  NodeId Sample(NodeId center, Rng& rng) const {
-    const size_t n = graph_.num_nodes();
-    for (int tries = 0; tries < 256; ++tries) {
-      const auto cand = static_cast<NodeId>(rng.UniformInt(n));
-      if (cand != center && !graph_.HasEdge(center, cand)) return cand;
-    }
-    // Same scan-before-relax fallback as SubgraphSampler: uniform over the
-    // valid non-neighbor set via reservoir sampling.
-    NodeId cand = center;
-    uint64_t valid_seen = 0;
-    for (size_t probe = 0; probe < n; ++probe) {
-      const auto node = static_cast<NodeId>(probe);
-      if (node == center || graph_.HasEdge(center, node)) continue;
-      ++valid_seen;
-      if (valid_seen == 1 || rng.UniformInt(valid_seen) == 0) cand = node;
-    }
-    if (valid_seen > 0) return cand;
-    // center + 1 + r (mod n) with r in [0, n-2] covers exactly V \ {center}.
-    return static_cast<NodeId>((center + 1 + rng.UniformInt(n - 1)) % n);
-  }
-
- private:
-  const Graph& graph_;
-};
 
 /// P_n(v) ∝ d_v^power (word2vec uses power = 0.75; the analysis of Eq. 14
 /// uses power = 1). Does not exclude neighbours — matching prior work.

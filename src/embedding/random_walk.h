@@ -1,8 +1,7 @@
-// Uniform random-walk engine (DeepWalk [9] style).
-//
-// Used by the walk-sampled DeepWalk proximity, the proximity-explorer
-// example, and tests. node2vec-style biased walks are provided with the
-// (p, q) return/in-out parameters for API completeness.
+// sepriv-lint: allow(test-only-module): only tests/random_walk_test.cc reaches it; ROADMAP Direction 7 stage 2 deletes it together with DegreeNegativeSampler
+// Uniform random-walk engine (DeepWalk [9] style), with node2vec-style
+// biased walks under the (p, q) return/in-out parameters. No library code
+// walks with it: the sampled DeepWalk proximity runs its own walks.
 
 #ifndef SEPRIVGEMB_EMBEDDING_RANDOM_WALK_H_
 #define SEPRIVGEMB_EMBEDDING_RANDOM_WALK_H_

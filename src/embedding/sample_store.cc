@@ -178,7 +178,7 @@ SampleStore::SampleStore(std::unique_ptr<PageFile> file, size_t budget_pages,
       samples_per_page_(samples_per_page),
       num_data_pages_(num_data_pages),
       verified_load_(num_data_pages, 0) {
-  if (budget_pages == 0) budget_pages = BufferPool::BudgetFromEnv(4);
+  if (budget_pages == 0) budget_pages = kDefaultPoolPages;
   pool_ = std::make_unique<BufferPool>(*file_, budget_pages);
 }
 

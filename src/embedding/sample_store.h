@@ -106,10 +106,10 @@ class SampleStoreWriter {
 class SampleStore final : public SampleSource {
  public:
   /// Opens `path`, validating the header (magic, version, checksum, record
-  /// geometry vs file size). `budget_pages` = 0 resolves SEPRIV_POOL_PAGES
-  /// (fallback 4); one page suffices, since the engine pins one page at a
-  /// time and nothing is prefetched. Returns nullptr on any validation or
-  /// I/O failure.
+  /// geometry vs file size). `budget_pages` = 0 means kDefaultPoolPages;
+  /// one page suffices, since the engine pins one page at a time and
+  /// nothing is prefetched. Returns nullptr on any validation or I/O
+  /// failure.
   /// A pointer, not a Status, only because perfbench calls it.
   static std::unique_ptr<SampleStore> Open(const std::string& path,
                                            size_t budget_pages = 0);

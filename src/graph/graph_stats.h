@@ -1,5 +1,7 @@
-// Descriptive graph statistics: used by the dataset stand-in calibration
-// (DESIGN.md §3), the examples, and reported in EXPERIMENTS.md.
+// sepriv-lint: allow(test-only-module): only tests/graph_stats_test.cc reaches it; ROADMAP Direction 7 stage 3 deletes it
+// Descriptive graph statistics: clustering, triangles, degree histogram,
+// components and a diameter estimate. No library, bench or example code
+// computes them.
 
 #ifndef SEPRIVGEMB_GRAPH_GRAPH_STATS_H_
 #define SEPRIVGEMB_GRAPH_GRAPH_STATS_H_

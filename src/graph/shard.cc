@@ -394,7 +394,7 @@ std::unique_ptr<SsdGraphStore> SsdGraphStore::Open(const std::string& dir,
   if (file == nullptr || file->num_pages() != manifest->num_shards()) {
     return nullptr;  // page file missing, truncated, or shard count mismatch
   }
-  if (budget_pages == 0) budget_pages = BufferPool::BudgetFromEnv(4);
+  if (budget_pages == 0) budget_pages = kDefaultPoolPages;
   // >= 2 frames: a sequential consumer keeps its current shard pinned while
   // probing another shard's adjacency (negative-sampling exclusion checks).
   budget_pages = std::max<size_t>(2, budget_pages);

@@ -211,11 +211,10 @@ std::optional<ShardManifest> LoadShardManifest(const std::string& dir);
 /// Disk-backed store: manifest + page file + fixed-budget buffer pool.
 class SsdGraphStore : public GraphStore {
  public:
-  /// `budget_pages` 0 resolves through SEPRIV_POOL_PAGES (default 4); the
-  /// effective budget is clamped to >= 2 so one consumer can hold a
-  /// sequential shard pinned while probing another (negative-sampling
-  /// adjacency checks). Returns nullptr when the manifest or page file is
-  /// missing or invalid.
+  /// `budget_pages` 0 means kDefaultPoolPages; the effective budget is
+  /// clamped to >= 2 so one consumer can hold a sequential shard pinned
+  /// while probing another (negative-sampling adjacency checks). Returns
+  /// nullptr when the manifest or page file is missing or invalid.
   /// A pointer, not a Status, only because perfbench calls it.
   static std::unique_ptr<SsdGraphStore> Open(const std::string& dir,
                                              size_t budget_pages = 0);

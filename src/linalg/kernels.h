@@ -69,11 +69,6 @@ inline void Scale(double alpha, double* x, size_t n) {
   simd::ActiveKernels().scale(alpha, x, n);
 }
 
-/// y[i] = alpha * x[i].
-inline void ScaleStore(double alpha, const double* x, double* y, size_t n) {
-  simd::ActiveKernels().scale_store(alpha, x, y, n);
-}
-
 // ---------------------------------------------------------------------------
 // Fused SGNS hot path.
 // ---------------------------------------------------------------------------

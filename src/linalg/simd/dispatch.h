@@ -14,9 +14,9 @@
 //     ((l0 + l2) + (l1 + l3)) + serial fma tail. Eight lanes are one
 //     512-bit accumulator, two 256-bit accumulators, or eight scalars —
 //     the same partial sums in the same order at every level.
-//   * Element-wise kernels (axpy, scale, scale-store) and the fused SGNS
-//     update: each output element is an independent expression (fma for
-//     the accumulating forms), so any vector width yields identical bits.
+//   * Element-wise kernels (axpy, scale) and the fused SGNS update: each
+//     output element is an independent expression (fma for the
+//     accumulating forms), so any vector width yields identical bits.
 //   * GEMM tiles: every C(i, j) accumulates its products in ascending-k
 //     order via fma, zero-initialised per tile; the register/vector
 //     blocking only reorders independent elements, never the per-element
@@ -71,8 +71,6 @@ struct KernelTable {
 
   void (*axpy)(double alpha, const double* x, double* y, size_t n) = nullptr;
   void (*scale)(double alpha, double* x, size_t n) = nullptr;
-  void (*scale_store)(double alpha, const double* x, double* y,
-                      size_t n) = nullptr;
 
   double (*sgns_accumulate)(const double* vi, const double* vn, size_t dim,
                             double weight, double indicator,

@@ -115,16 +115,6 @@ void ScaleAvx2(double alpha, double* x, size_t n) {
   for (; i < n; ++i) x[i] *= alpha;
 }
 
-void ScaleStoreAvx2(double alpha, const double* SEPRIV_SIMD_RESTRICT x,
-                    double* SEPRIV_SIMD_RESTRICT y, size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(av, _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] = alpha * x[i];
-}
-
 double SgnsAccumulateAvx2(const double* vi, const double* vn, size_t dim,
                           double weight, double indicator, double* center_grad,
                           double* ctx_row) {
@@ -518,7 +508,6 @@ const KernelTable kAvx2Table = {
     &SquaredDistanceAvx2,
     &AxpyAvx2,
     &ScaleAvx2,
-    &ScaleStoreAvx2,
     &SgnsAccumulateAvx2,
     &GemmTileAvx2,
     &GemmNTTileAvx2,

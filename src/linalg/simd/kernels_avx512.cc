@@ -115,16 +115,6 @@ void ScaleAvx512(double alpha, double* x, size_t n) {
   for (; i < n; ++i) x[i] *= alpha;
 }
 
-void ScaleStoreAvx512(double alpha, const double* SEPRIV_SIMD_RESTRICT x,
-                      double* SEPRIV_SIMD_RESTRICT y, size_t n) {
-  const __m512d av = _mm512_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(y + i, _mm512_mul_pd(av, _mm512_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] = alpha * x[i];
-}
-
 double SgnsAccumulateAvx512(const double* vi, const double* vn, size_t dim,
                             double weight, double indicator,
                             double* center_grad, double* ctx_row) {
@@ -536,7 +526,6 @@ const KernelTable kAvx512Table = {
     &SquaredDistanceAvx512,
     &AxpyAvx512,
     &ScaleAvx512,
-    &ScaleStoreAvx512,
     &SgnsAccumulateAvx512,
     &GemmTileAvx512,
     &GemmNTTileAvx512,

@@ -207,11 +207,6 @@ void ScaleScalar(double alpha, double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-void ScaleStoreScalar(double alpha, const double* SEPRIV_SIMD_RESTRICT x,
-                      double* SEPRIV_SIMD_RESTRICT y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] = alpha * x[i];
-}
-
 double SgnsAccumulateScalar(const double* vi, const double* vn, size_t dim,
                             double weight, double indicator,
                             double* center_grad, double* ctx_row) {
@@ -321,7 +316,6 @@ const KernelTable kScalarTable = {
     &SquaredDistanceScalar,
     &AxpyScalar,
     &ScaleScalar,
-    &ScaleStoreScalar,
     &SgnsAccumulateScalar,
     &GemmTileScalar,
     &GemmNTTileScalar,

@@ -39,11 +39,6 @@ double JaccardProximity::At(NodeId i, NodeId j) const {
   return un > 0.0 ? cn / un : 0.0;
 }
 
-double PreferentialAttachmentProximity::At(NodeId i, NodeId j) const {
-  return static_cast<double>(graph_.Degree(i)) *
-         static_cast<double>(graph_.Degree(j)) * inv_two_m_;
-}
-
 double AdamicAdarProximity::At(NodeId i, NodeId j) const {
   return AccumulateCommon(graph_, i, j, [this](NodeId w) {
     // A common neighbour of two DISTINCT nodes has degree >= 2; for self

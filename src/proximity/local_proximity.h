@@ -41,32 +41,11 @@ class JaccardProximity : public ProximityProvider {
 };
 
 /// d_i * d_j / 2|E| — the "node degree" preference of the paper's
-/// SE-PrivGEmb_Deg variant (preferential attachment normalisation).
-class PreferentialAttachmentProximity : public ProximityProvider {
- public:
-  explicit PreferentialAttachmentProximity(const Graph& graph)
-      : graph_(graph),
-        inv_two_m_(graph.num_edges() > 0
-                       ? 0.5 / static_cast<double>(graph.num_edges())
-                       : 0.0) {}
-  std::string Name() const override { return "degree"; }
-  double At(NodeId i, NodeId j) const override;
-  std::unique_ptr<ProximityProvider> Clone() const override {
-    return std::make_unique<PreferentialAttachmentProximity>(graph_);
-  }
-
- private:
-  const Graph& graph_;
-  double inv_two_m_;
-};
-
-/// PreferentialAttachmentProximity computed from a degree vector instead of
-/// a resident Graph — the out-of-core pipeline's form of the "degree"
-/// preference, which is the one preference whose oracle state is node-level
-/// (O(|V|) degrees) rather than edge-level. Name() and the At() arithmetic
-/// match PreferentialAttachmentProximity exactly (same products, same
-/// 1/2|E| factor), so proximities, cache keys, and training digests are
-/// bit-identical between the two providers.
+/// SE-PrivGEmb_Deg variant (preferential attachment normalisation), computed
+/// from a degree vector rather than a resident Graph. It is the one
+/// preference whose oracle state is node-level (O(|V|) degrees), so the
+/// in-memory trainer (through MakeProximity) and the out-of-core trainer
+/// (from its degree scan) run this one class.
 class DegreeVectorProximity : public ProximityProvider {
  public:
   DegreeVectorProximity(std::vector<double> degrees, size_t num_edges)

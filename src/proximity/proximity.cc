@@ -93,7 +93,8 @@ std::unique_ptr<ProximityProvider> MakeProximity(ProximityKind kind,
     case ProximityKind::kJaccard:
       return std::make_unique<JaccardProximity>(graph);
     case ProximityKind::kPreferentialAttachment:
-      return std::make_unique<PreferentialAttachmentProximity>(graph);
+      return std::make_unique<DegreeVectorProximity>(graph.DegreeVector(),
+                                                     graph.num_edges());
     case ProximityKind::kAdamicAdar:
       return std::make_unique<AdamicAdarProximity>(graph);
     case ProximityKind::kResourceAllocation:

@@ -40,7 +40,6 @@ struct ProximityOptions {
   int ppr_iterations = 20;      // power-iteration steps
   int dw_window = 2;            // T of the DeepWalk walk matrix
   int dw_walks_per_node = 40;   // sampled variant only
-  int dw_walk_length = 6;       // sampled variant only
   uint64_t seed = 7;            // sampled variant only
 };
 

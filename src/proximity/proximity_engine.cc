@@ -12,7 +12,6 @@
 
 #include "util/atomic_file.h"
 #include "util/check.h"
-#include "util/env.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 
@@ -130,7 +129,8 @@ std::vector<size_t> OrderByTarget(const std::vector<Edge>& edges) {
 // ---------------------------------------------------------------------------
 
 constexpr uint32_t kShardCacheMagic = 0x53505853;  // "SPXS"
-constexpr uint32_t kShardCacheVersion = 1;
+// v2: ProximityOptions lost dw_walk_length, one option word fewer.
+constexpr uint32_t kShardCacheVersion = 2;
 
 /// splitmix64-chained digest over a byte range, 8 bytes at a time with a
 /// zero-padded tail. Guards the cache file against truncation/corruption.
@@ -162,7 +162,6 @@ std::vector<uint64_t> OptionWords(const ProximityOptions& opts) {
           static_cast<uint64_t>(opts.ppr_iterations),
           static_cast<uint64_t>(opts.dw_window),
           static_cast<uint64_t>(opts.dw_walks_per_node),
-          static_cast<uint64_t>(opts.dw_walk_length),
           opts.seed};
 }
 
@@ -441,10 +440,6 @@ EdgeProximity CachedEdgeProximities(const Graph& graph,
   InMemoryGraphStore store(graph);
   ThreadPool pool(ThreadPool::ResolveThreads(num_threads));
   return ShardedEdgeProximities(store, provider, opts, pool, cache_dir);
-}
-
-std::string ProximityCacheDirFromEnv() {
-  return GetStringEnv("SEPRIV_PROXIMITY_CACHE");
 }
 
 }  // namespace sepriv

@@ -116,11 +116,6 @@ EdgeProximity CachedEdgeProximities(const Graph& graph,
                                     size_t num_threads,
                                     const std::string& cache_dir);
 
-/// The SEPRIV_PROXIMITY_CACHE environment variable (empty when unset): the
-/// process-wide default cache directory used when no explicit path is
-/// configured, so test/bench sweeps opt in without code changes.
-std::string ProximityCacheDirFromEnv();
-
 }  // namespace sepriv
 
 #endif  // SEPRIVGEMB_PROXIMITY_PROXIMITY_ENGINE_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/env.h"
 
 namespace sepriv {
 
@@ -98,11 +97,6 @@ void BufferPool::PageHandle::Release() {
 BufferPoolStats BufferPool::stats() const {
   MutexLock lock(mu_);
   return stats_;
-}
-
-size_t BufferPool::BudgetFromEnv(size_t fallback) {
-  return ParseSizeEnv("SEPRIV_POOL_PAGES", /*max=*/1u << 20, fallback,
-                      /*zero_means_fallback=*/true);
 }
 
 }  // namespace sepriv

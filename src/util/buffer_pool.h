@@ -48,6 +48,10 @@ struct BufferPoolStats {
   uint64_t discards = 0;        // pages dropped via Discard (re-read path)
 };
 
+/// The pool budget, in pages, of a shard or sample store opened with a
+/// budget of 0.
+inline constexpr size_t kDefaultPoolPages = 4;
+
 class BufferPool {
  public:
   /// `budget_pages` frames of file.page_size() bytes each; clamped to >= 1.
@@ -126,10 +130,6 @@ class BufferPool {
   size_t budget_pages() const { return budget_pages_; }
   size_t page_size() const { return file_.page_size(); }
   BufferPoolStats stats() const SEPRIV_EXCLUDES(mu_);
-
-  /// The SEPRIV_POOL_PAGES environment variable, `fallback` when unset or
-  /// invalid; 0 also resolves to the fallback (the documented auto value).
-  static size_t BudgetFromEnv(size_t fallback);
 
  private:
   static constexpr size_t kNoPage = SIZE_MAX;

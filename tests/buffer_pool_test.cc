@@ -135,15 +135,6 @@ TEST_F(BufferPoolTest, LoadIdChangesAcrossReloadOfSamePage) {
   EXPECT_NE(h3.load_id(), first_load);
 }
 
-TEST_F(BufferPoolTest, BudgetFromEnvParsesAndClamps) {
-  ::setenv("SEPRIV_POOL_PAGES", "12", 1);
-  EXPECT_EQ(BufferPool::BudgetFromEnv(4), 12u);
-  ::setenv("SEPRIV_POOL_PAGES", "0", 1);
-  EXPECT_EQ(BufferPool::BudgetFromEnv(4), 4u);
-  ::unsetenv("SEPRIV_POOL_PAGES");
-  EXPECT_EQ(BufferPool::BudgetFromEnv(4), 4u);
-}
-
 TEST_F(BufferPoolTest, RssHelpersReportPlausibleValues) {
   // procfs is present on the CI/test platforms; peak >= current > 0, and
   // both helpers must agree with each other's order.

@@ -32,6 +32,7 @@ class CheckpointTest : public ::testing::Test {
     TrainCheckpoint ck;
     ck.graph_fingerprint = 0x1234 + tag;
     ck.config_digest = 0x5678;
+    ck.preference_digest = 0x9abc;
     ck.epochs_run = 7;
     ck.accountant_steps = 7;
     ck.noise_multiplier = 1.5;
@@ -63,6 +64,7 @@ TEST_F(CheckpointTest, RoundTripRestoresEveryField) {
   ASSERT_TRUE(LoadCheckpoint(path, &back).ok());
   EXPECT_EQ(back.graph_fingerprint, ck.graph_fingerprint);
   EXPECT_EQ(back.config_digest, ck.config_digest);
+  EXPECT_EQ(back.preference_digest, ck.preference_digest);
   EXPECT_EQ(back.epochs_run, ck.epochs_run);
   EXPECT_EQ(back.accountant_steps, ck.accountant_steps);
   EXPECT_EQ(back.noise_multiplier, ck.noise_multiplier);
@@ -126,9 +128,10 @@ TEST_F(CheckpointTest, BitFlipAnywhereIsRejected) {
 }
 
 // A version-2 checkpoint holds a model trained under the engine's earlier
-// noise generator; resuming it would splice two noise streams. The file is
-// patched to version 2 and resealed, so only the version check can reject
-// it; the same patch back to the current version still loads.
+// noise generator; resuming it would splice two noise streams. A version-3
+// one has no preference digest, so its words would be misread. The file is
+// patched to each old version and resealed, so only the version check can
+// reject it; the same patch back to the current version still loads.
 TEST_F(CheckpointTest, VersionTwoCheckpointIsRejected) {
   const std::string path = dir_ + "/v2.bin";
   // sepriv-privflow: allow(leak): checkpoint round-trip test on synthetic matrices; nothing private to leak
@@ -145,15 +148,18 @@ TEST_F(CheckpointTest, VersionTwoCheckpointIsRejected) {
   };
   uint64_t current = 0;
   std::memcpy(&current, bytes.data() + sizeof(uint64_t), sizeof(current));
-  ASSERT_EQ(current, 3u);
+  ASSERT_EQ(current, 4u);
 
-  ASSERT_TRUE(write_version(2).ok());
   TrainCheckpoint back;
-  const Status s = LoadCheckpoint(path, &back);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-  EXPECT_NE(s.ToString().find("version"), std::string::npos) << s.ToString();
+  for (const uint64_t old_version : {2u, 3u}) {
+    ASSERT_TRUE(write_version(old_version).ok());
+    const Status s = LoadCheckpoint(path, &back);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "v" << old_version;
+    EXPECT_NE(s.ToString().find("version"), std::string::npos)
+        << s.ToString();
+  }
 
-  ASSERT_TRUE(write_version(3).ok());
+  ASSERT_TRUE(write_version(4).ok());
   EXPECT_TRUE(LoadCheckpoint(path, &back).ok());
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -218,6 +219,20 @@ TEST_F(CrashRecoveryTest, OutOfCoreCrashAndRestartMatchesUninterrupted) {
   }
   const TrainDigest ref(ref_result);
 
+  // The out-of-core trainer hashes the weights it writes to the sample store
+  // to the digest the in-memory trainer takes of its table, so a checkpoint
+  // binds the same preference either way.
+  {
+    SePrivGEmb trainer(g, ProximityKind::kPreferentialAttachment, cfg);
+    TrainResult r;
+    ASSERT_TRUE(
+        trainer.TrainResumable(CkptOptions(root_ + "/mem.ck"), &r).ok());
+    TrainCheckpoint from_ooc, from_mem;
+    ASSERT_TRUE(LoadCheckpoint(ref_ooc.checkpoint.path, &from_ooc).ok());
+    ASSERT_TRUE(LoadCheckpoint(root_ + "/mem.ck", &from_mem).ok());
+    EXPECT_EQ(from_ooc.preference_digest, from_mem.preference_digest);
+  }
+
   struct CrashCase {
     const char* name;
     const char* spec;
@@ -307,6 +322,39 @@ TEST_F(CrashRecoveryTest, ResumeRefusesForeignOrDamagedCheckpoints) {
     TrainResult r;
     EXPECT_EQ(trainer.ResumeFromCheckpoint(CkptOptions(ck_path), &r).code(),
               StatusCode::kFailedPrecondition);
+  }
+
+  // A different structure preference under the same graph and config: a
+  // DeepWalk run's checkpoint must not resume as a degree-preference run.
+  {
+    const std::string dw_path = root_ + "/deepwalk.ck";
+    SePrivGEmb deepwalk(g, ProximityKind::kDeepWalk, cfg);
+    TrainResult r;
+    ASSERT_TRUE(deepwalk.TrainResumable(CkptOptions(dw_path), &r).ok());
+    SePrivGEmb degree(g, ProximityKind::kPreferentialAttachment, cfg);
+    const Status s = degree.ResumeFromCheckpoint(CkptOptions(dw_path), &r);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(s.ToString().find("preference"), std::string::npos)
+        << s.ToString();
+  }
+
+  // A borrowed table that differs in one weight is a different preference
+  // too; the unchanged table still resumes.
+  {
+    const std::string table_path = root_ + "/table.ck";
+    const EdgeProximity table = ComputeEdgeProximities(
+        g, *MakeProximity(ProximityKind::kPreferentialAttachment, g));
+    SePrivGEmb trainer(g, table, cfg);
+    TrainResult r;
+    ASSERT_TRUE(trainer.TrainResumable(CkptOptions(table_path), &r).ok());
+    EdgeProximity changed = table;
+    changed.values[7] = std::nextafter(changed.values[7], 2.0);
+    changed.normalized[7] = std::nextafter(changed.normalized[7], 2.0);
+    SePrivGEmb other(g, changed, cfg);
+    EXPECT_EQ(other.ResumeFromCheckpoint(CkptOptions(table_path), &r).code(),
+              StatusCode::kFailedPrecondition);
+    SePrivGEmb same(g, table, cfg);
+    EXPECT_TRUE(same.ResumeFromCheckpoint(CkptOptions(table_path), &r).ok());
   }
 
   // A damaged file is corruption, not a fresh start.

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -351,6 +352,40 @@ TEST_F(FaultInjectionTest, TryTrainOutOfCoreSurfacesPersistentFault) {
                                 ooc, &result)
                   .ok());
   EXPECT_EQ(result.epochs_run, 1u);
+}
+
+// A run that fails after Algorithm 1 wrote the raw sample store, which holds
+// every edge with its negatives and weight, still deletes the file, unless
+// the caller keeps it.
+TEST_F(FaultInjectionTest, FailedOutOfCoreRunRemovesItsSampleStore) {
+  const Graph g = BarabasiAlbert(400, 3, /*seed=*/1);
+  const std::string shard_dir = root_ + "/cleanup_shards";
+  ASSERT_TRUE(WriteGraphShards(g, shard_dir, 4));
+  auto store = SsdGraphStore::Open(shard_dir, /*budget_pages=*/2);
+  ASSERT_NE(store, nullptr);
+
+  SePrivGEmbConfig cfg;
+  cfg.dim = 8;
+  cfg.batch_size = 32;
+  cfg.max_epochs = 2;
+  cfg.negatives = 2;
+  cfg.seed = 15;
+  cfg.proximity_cache_path = "-";
+  for (const bool keep : {false, true}) {
+    SCOPED_TRACE(keep ? "keep_sample_store" : "default");
+    OutOfCoreTrainOptions ooc;
+    ooc.work_dir = root_ + (keep ? "/kept_work" : "/cleanup_work");
+    ooc.sample_page_bytes = 4096;
+    ooc.keep_sample_store = keep;
+    ooc.checkpoint.path = ooc.work_dir + "/run.ck";
+    ASSERT_TRUE(failpoint::SetSpec("checkpoint.write=err"));
+    TrainResult result;
+    const Status s = TryTrainOutOfCore(
+        *store, ProximityKind::kPreferentialAttachment, cfg, ooc, &result);
+    failpoint::ClearAll();
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+    EXPECT_EQ(std::filesystem::exists(ooc.work_dir + "/samples.bin"), keep);
+  }
 }
 
 TEST_F(FaultInjectionTest, SeededReadScheduleReplaysExactlyOutOfCore) {

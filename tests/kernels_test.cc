@@ -108,10 +108,6 @@ TEST(KernelsTest, AxpyScaleStoreMatchNaivePerLevel) {
       kernels::Scale(-1.5, y.data(), n);
       for (size_t i = 0; i < n; ++i) y_ref[i] *= -1.5;
       EXPECT_EQ(y, y_ref);
-
-      std::vector<double> z(n);
-      kernels::ScaleStore(2.0, x.data(), z.data(), n);
-      for (size_t i = 0; i < n; ++i) EXPECT_EQ(z[i], 2.0 * x[i]);
     }
   }
 }

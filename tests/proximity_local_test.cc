@@ -47,10 +47,10 @@ TEST_F(LocalProximityTest, JaccardIdenticalNeighborhoods) {
 }
 
 TEST_F(LocalProximityTest, PreferentialAttachmentFormula) {
-  PreferentialAttachmentProximity p(g_);
+  const auto p = MakeProximity(ProximityKind::kPreferentialAttachment, g_);
   // d0=2, d2=3, 2|E|=10 -> 6/10.
-  EXPECT_NEAR(p.At(0, 2), 0.6, 1e-12);
-  EXPECT_NEAR(p.At(4, 4), 1.0 / 10.0, 1e-12);  // d4=1
+  EXPECT_NEAR(p->At(0, 2), 0.6, 1e-12);
+  EXPECT_NEAR(p->At(4, 4), 1.0 / 10.0, 1e-12);  // d4=1
 }
 
 TEST_F(LocalProximityTest, AdamicAdarHandComputed) {
@@ -91,14 +91,15 @@ TEST_F(LocalProximityTest, AdamicAdarDominatesResourceAllocationForBigDegrees) {
 TEST_F(LocalProximityTest, NamesAreStable) {
   EXPECT_EQ(CommonNeighborsProximity(g_).Name(), "common_neighbors");
   EXPECT_EQ(JaccardProximity(g_).Name(), "jaccard");
-  EXPECT_EQ(PreferentialAttachmentProximity(g_).Name(), "degree");
+  EXPECT_EQ(MakeProximity(ProximityKind::kPreferentialAttachment, g_)->Name(),
+            "degree");
   EXPECT_EQ(AdamicAdarProximity(g_).Name(), "adamic_adar");
   EXPECT_EQ(ResourceAllocationProximity(g_).Name(), "resource_allocation");
 }
 
 TEST_F(LocalProximityTest, SymmetricHelperAverages) {
-  PreferentialAttachmentProximity p(g_);
-  EXPECT_DOUBLE_EQ(p.Symmetric(0, 2), p.At(0, 2));  // PA already symmetric
+  const auto p = MakeProximity(ProximityKind::kPreferentialAttachment, g_);
+  EXPECT_DOUBLE_EQ(p->Symmetric(0, 2), p->At(0, 2));  // PA already symmetric
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "embedding/negative_sampler.h"
+#include "embedding/subgraph_sampler.h"
 #include "graph/generators.h"
 
 namespace sepriv {
@@ -81,17 +82,24 @@ TEST(RandomWalkTest, CorpusShapeAndCoverage) {
   for (int s : starts) EXPECT_EQ(s, 3);
 }
 
+// Algorithm 1's negative draw: SubgraphGenerator over a resident graph,
+// with the canonical orientation so the first endpoint is the center.
 TEST(NegativeSamplerTest, UniformNonNeighborExcludesNeighbors) {
   Graph g = StarGraph(20);
-  UniformNonNeighborSampler sampler(g);
-  Rng rng(7);
+  GraphAdjacencyOracle oracle(g);
+  SubgraphGenerator gen(oracle, /*negatives_per_edge=*/1, /*seed=*/7,
+                        EdgeOrientation::kCanonical);
+  Subgraph s;
   // Center 0 is adjacent to everyone: the fallback must still return != 0.
-  for (int i = 0; i < 50; ++i) EXPECT_NE(sampler.Sample(0, rng), 0u);
+  for (int i = 0; i < 50; ++i) {
+    gen.Next(0, 1, /*edge_index=*/0, s);
+    EXPECT_NE(s.negatives[0], 0u);
+  }
   // A leaf's negatives are never the center.
   for (int i = 0; i < 200; ++i) {
-    const NodeId n = sampler.Sample(1, rng);
-    EXPECT_NE(n, 1u);
-    EXPECT_NE(n, 0u);
+    gen.Next(1, 0, /*edge_index=*/0, s);
+    EXPECT_NE(s.negatives[0], 1u);
+    EXPECT_NE(s.negatives[0], 0u);
   }
 }
 
@@ -110,10 +118,13 @@ TEST(NegativeSamplerTest, DenseGraphFallbackNeverReturnsNeighbor) {
     }
   }
   Graph g = Graph::FromEdges(n, std::move(edges));
-  UniformNonNeighborSampler sampler(g);
-  Rng rng(11);
+  GraphAdjacencyOracle oracle(g);
+  SubgraphGenerator gen(oracle, /*negatives_per_edge=*/1, /*seed=*/11,
+                        EdgeOrientation::kCanonical);
+  Subgraph s;
   for (int i = 0; i < 300; ++i) {
-    const NodeId neg = sampler.Sample(0, rng);
+    gen.Next(0, 2, /*edge_index=*/0, s);
+    const NodeId neg = s.negatives[0];
     EXPECT_NE(neg, 0u);
     EXPECT_FALSE(g.HasEdge(0, neg)) << "sampled neighbor " << neg;
     EXPECT_EQ(neg, 1u);  // the only non-neighbor of 0
@@ -121,9 +132,12 @@ TEST(NegativeSamplerTest, DenseGraphFallbackNeverReturnsNeighbor) {
   // Fully saturated center (complete graph): must still terminate and
   // return != center even though no valid non-neighbor exists.
   Graph complete = CompleteGraph(12);
-  UniformNonNeighborSampler complete_sampler(complete);
+  GraphAdjacencyOracle complete_oracle(complete);
+  SubgraphGenerator complete_gen(complete_oracle, /*negatives_per_edge=*/1,
+                                 /*seed=*/11, EdgeOrientation::kCanonical);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_NE(complete_sampler.Sample(3, rng), 3u);
+    complete_gen.Next(3, 4, /*edge_index=*/0, s);
+    EXPECT_NE(s.negatives[0], 3u);
   }
 }
 

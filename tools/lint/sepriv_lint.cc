@@ -57,6 +57,12 @@
 //                        as its own process, so concurrent cases delete each
 //                        other's files. Tests take a per-process, per-test
 //                        directory from tests/test_tmpdir.h instead
+//   test-only-module     a header under src/ that no file outside tests/
+//                        includes, apart from its own .cc — library code
+//                        that training never runs (reported on line 1).
+//                        Includes are counted from every scanned root and
+//                        from each `--includes-from <dir>`, whose files are
+//                        read for their includes only, never linted
 //   bad-suppression      a sepriv-lint: allow(...) comment without a
 //                        justification after the closing parenthesis
 //   unused-suppression   a suppression that silenced nothing (stale allows
@@ -309,9 +315,11 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 }
 
 /// Scans one file; appends diagnostics. `path_label` is what diagnostics
-/// print (repo-relative when possible).
+/// print (repo-relative when possible). `test_only_module` reports the
+/// cross-file rule here, so that its suppressions go through the same
+/// bookkeeping as every other rule's.
 void ScanFile(const fs::path& path, const std::string& path_label,
-              std::vector<Diagnostic>* diags) {
+              bool test_only_module, std::vector<Diagnostic>* diags) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     diags->push_back({path_label, 0, "io-error", "cannot read file"});
@@ -340,6 +348,12 @@ void ScanFile(const fs::path& path, const std::string& path_label,
 
   const std::vector<Token> toks = Tokenize(src);
   std::vector<Diagnostic> local;
+  if (test_only_module) {
+    local.push_back({path_label, 1, "test-only-module",
+                     "no file outside tests/ includes this header, apart "
+                     "from its own .cc: delete the module or give it a "
+                     "library, bench or example user"});
+  }
 
   // Names declared (anywhere in this file) with an unordered container
   // type. Sorted container => deterministic diagnostics.
@@ -599,6 +613,91 @@ void CollectFiles(const fs::path& root, std::vector<fs::path>* out) {
   }
 }
 
+// --- Cross-file rule: test-only-module ---------------------------------------
+
+/// Where a file sits below the root it was collected from (the root's own
+/// name counts): `module` is a header's include spelling relative to its
+/// nearest `src` directory (empty for any other file), and `in_tests` says
+/// whether a `tests` directory holds it.
+struct Placement {
+  std::string module;
+  bool in_tests = false;
+};
+
+Placement Place(const fs::path& root, const fs::path& file) {
+  fs::path r = root.lexically_normal();
+  if (!r.has_filename()) r = r.parent_path();
+  std::vector<std::string> dirs = {r.filename().string()};
+  for (const fs::path& part : file.lexically_relative(r).parent_path()) {
+    dirs.push_back(part.string());
+  }
+  Placement out;
+  out.in_tests = std::find(dirs.begin(), dirs.end(), "tests") != dirs.end();
+  const auto src = std::find(dirs.rbegin(), dirs.rend(), "src");
+  const std::string ext = file.extension().string();
+  if (src != dirs.rend() && (ext == ".h" || ext == ".hpp")) {
+    for (auto it = src.base(); it != dirs.end(); ++it) out.module += *it + "/";
+    out.module += file.filename().string();
+  }
+  return out;
+}
+
+/// The quoted include paths of one file, as written.
+std::vector<std::string> QuotedIncludes(const fs::path& path) {
+  std::vector<std::string> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t hash = line.find_first_not_of(" \t");
+    if (hash == std::string::npos || line.compare(hash, 8, "#include") != 0) {
+      continue;
+    }
+    const size_t open = line.find('"', hash);
+    const size_t close =
+        open == std::string::npos ? open : line.find('"', open + 1);
+    if (close != std::string::npos) {
+      out.push_back(line.substr(open + 1, close - open - 1));
+    }
+  }
+  return out;
+}
+
+/// One collected file and the root it came from.
+struct Collected {
+  fs::path path;
+  fs::path root;
+};
+
+/// The src/ headers that only tests/ files and their own .cc include.
+/// `includers_only` files count as includers and are not modules.
+std::set<fs::path> TestOnlyModules(
+    const std::vector<Collected>& files,
+    const std::vector<Collected>& includers_only) {
+  std::map<std::string, std::vector<fs::path>> live_includers;
+  auto count = [&](const Collected& c) {
+    if (Place(c.root, c.path).in_tests) return;
+    for (const std::string& inc : QuotedIncludes(c.path)) {
+      live_includers[inc].push_back(c.path);
+    }
+  };
+  for (const Collected& c : files) count(c);
+  for (const Collected& c : includers_only) count(c);
+  std::set<fs::path> out;
+  for (const Collected& c : files) {
+    const std::string module = Place(c.root, c.path).module;
+    if (module.empty()) continue;
+    fs::path own_cc = c.path;
+    own_cc.replace_extension(".cc");
+    const auto it = live_includers.find(module);
+    const bool live =
+        it != live_includers.end() &&
+        std::any_of(it->second.begin(), it->second.end(),
+                    [&](const fs::path& f) { return f != own_cc; });
+    if (!live) out.insert(c.path);
+  }
+  return out;
+}
+
 std::string Label(const fs::path& p) {
   // Repo-relative when the path contains a recognisable top-level dir.
   const std::string s = p.generic_string();
@@ -648,11 +747,14 @@ int SelfTest(const fs::path& dir) {
                  dir.string().c_str());
     return 2;
   }
+  std::vector<Collected> collected;
+  for (const fs::path& f : files) collected.push_back({f, dir});
+  const std::set<fs::path> test_only = TestOnlyModules(collected, {});
   int failures = 0;
   for (const fs::path& f : files) {
     const std::string label = f.filename().string();
     std::vector<Diagnostic> got;
-    ScanFile(f, label, &got);
+    ScanFile(f, label, test_only.count(f) != 0, &got);
     std::vector<Diagnostic> want = FindExpectations(f, label);
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
@@ -686,7 +788,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
     std::fprintf(stderr,
-                 "usage: sepriv_lint <dir-or-file>...\n"
+                 "usage: sepriv_lint <dir-or-file>... "
+                 "[--includes-from <dir-or-file>]...\n"
                  "       sepriv_lint --self-test <fixture-dir>\n");
     return 2;
   }
@@ -698,19 +801,39 @@ int main(int argc, char** argv) {
     return SelfTest(args[1]);
   }
 
-  std::vector<fs::path> files;
-  for (const std::string& a : args) {
+  std::vector<Collected> files, includers_only;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const bool includes_from = args[i] == "--includes-from";
+    if (includes_from && ++i == args.size()) {
+      std::fprintf(stderr, "--includes-from takes a directory or file\n");
+      return 2;
+    }
+    const std::string& a = args[i];
     if (!fs::exists(a)) {
       std::fprintf(stderr, "sepriv_lint: no such path: %s\n", a.c_str());
       return 2;
     }
-    CollectFiles(a, &files);
+    std::vector<fs::path> found;
+    CollectFiles(a, &found);
+    for (const fs::path& f : found) {
+      (includes_from ? includers_only : files).push_back({f, a});
+    }
   }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
+  const auto by_path = [](const Collected& x, const Collected& y) {
+    return x.path < y.path;
+  };
+  std::sort(files.begin(), files.end(), by_path);
+  files.erase(std::unique(files.begin(), files.end(),
+                          [](const Collected& x, const Collected& y) {
+                            return x.path == y.path;
+                          }),
+              files.end());
 
+  const std::set<fs::path> test_only = TestOnlyModules(files, includers_only);
   std::vector<Diagnostic> diags;
-  for (const fs::path& f : files) ScanFile(f, Label(f), &diags);
+  for (const Collected& c : files) {
+    ScanFile(c.path, Label(c.path), test_only.count(c.path) != 0, &diags);
+  }
   std::sort(diags.begin(), diags.end());
   for (const Diagnostic& d : diags) {
     std::fprintf(stderr, "%s:%d: [%s] %s\n", d.file.c_str(), d.line,
