@@ -29,6 +29,9 @@ constexpr uint64_t kStreamOut = 1;  // grad_out / w_out
 // Touched rows per chunk in the apply phase.
 constexpr size_t kApplyGrain = 64;
 
+// How many samples ahead the touch phase prefetches slot entries.
+constexpr size_t kTouchAhead = 4;
+
 size_t NumBlocks(size_t n) {
   return (n + kNoiseBlockRows - 1) / kNoiseBlockRows;
 }
@@ -44,6 +47,8 @@ BatchGradientEngine::BatchGradientEngine(
       grad_out_(opts.num_nodes, opts.dim) {
   SEPRIV_CHECK(opts_.num_nodes > 0 && opts_.dim > 0,
                "engine needs a non-empty model shape");
+  SEPRIV_CHECK(opts_.num_nodes <= kRepeated,
+               "slot numbers must stay below the repeat flag");
 }
 
 void BatchGradientEngine::ResolveWeights(double pij, double& w_pos,
@@ -80,10 +85,6 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
     ctx_slot = std::max(ctx_slot, source.NegativesCount(idx) + 1);
   }
   ctx_slot_ = std::max(ctx_slot_, ctx_slot);
-  if (center_grads_.size() < m * dim) center_grads_.resize(m * dim);
-  if (context_grads_.size() < m * ctx_slot_ * dim) {
-    context_grads_.resize(m * ctx_slot_ * dim);
-  }
   if (context_nodes_.size() < m * ctx_slot_) {
     context_nodes_.resize(m * ctx_slot_);
   }
@@ -94,8 +95,8 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
 
   // Visit order: identity for a single-shard source; shard-sorted (stable,
   // so within a shard the batch order is kept) when sharded. Only the ORDER
-  // samples are computed in changes — every result lands in the sample's
-  // original slot i, so phases 2–3 never see the permutation.
+  // samples are gathered in changes — every sample lands in its original
+  // slot i, so the later phases never see the permutation.
   order_.resize(m);
   for (size_t i = 0; i < m; ++i) order_[i] = static_cast<uint32_t>(i);
   if (source.num_shards() > 1) {
@@ -106,7 +107,7 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
                      });
   }
 
-  // Phase 1a, gather: copy each sample into its slot i — center, weight,
+  // Phase 1, gather: copy each sample into its slot i — center, weight,
   // and the context followed by the negatives in context_nodes_ — one shard
   // group at a time, pinning the group's shard for the copy. A small group
   // (the usual out-of-core case: a few samples per page) runs inline.
@@ -140,17 +141,57 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
     pos = group_end;
   }
 
-  // Phase 1b, compute: per-sample gradients + clipping over the whole batch
-  // in one fan-out. Safe because sample i only reads and writes slot i.
+  // Phase 2, touch (serial): slab slots in first-touch sample order, so
+  // they are independent of worker scheduling. An entry whose Touch created
+  // its slot is placed at that slot; any other entry (a repeat within this
+  // call, or a row an earlier call touched) is queued in repeats_, in
+  // sample order. Touching may grow the slabs, so it finishes before phase
+  // 3 takes rows.
+  const size_t entries = slot + 1;  // the center, then the k+1 contexts
+  if (places_.size() < m * entries) places_.resize(m * entries);
+  repeats_.clear();
+  const auto place = [&](SparseRowGrad& grads, NodeId row, bool out) {
+    const size_t touched = grads.touched().size();
+    const uint32_t s = grads.Touch(row);
+    if (grads.touched().size() != touched) return s;
+    repeats_.push_back({s, out});
+    return kRepeated | static_cast<uint32_t>(repeats_.size() - 1);
+  };
+  for (size_t i = 0; i < m; ++i) {
+    if (i + kTouchAhead < m) {
+      const size_t ahead = i + kTouchAhead;
+      grad_in_.PrefetchSlot(centers_[ahead]);
+      const NodeId* nodes = context_nodes_.data() + ahead * slot;
+      for (uint32_t k = 0; k < context_counts_[ahead]; ++k) {
+        grad_out_.PrefetchSlot(nodes[k]);
+      }
+    }
+    uint32_t* places = places_.data() + i * entries;
+    places[0] = place(grad_in_, centers_[i], false);
+    const NodeId* nodes = context_nodes_.data() + i * slot;
+    for (uint32_t k = 0; k < context_counts_[i]; ++k) {
+      places[k + 1] = place(grad_out_, nodes[k], true);
+    }
+  }
+  if (repeat_rows_.size() < repeats_.size() * dim) {
+    repeat_rows_.resize(repeats_.size() * dim);
+  }
+
+  // Phase 3, gradient, clip and place, over the whole batch in one fan-out.
+  // Each worker computes a sample's rows into its own scratch; a row that
+  // created its slot is added into that (zero) slab row — no other entry
+  // writes there in this phase — and a repeated row is copied to its
+  // repeats_ index.
   pool_.ParallelFor(m, kSampleGrain, [&](size_t begin, size_t end) {
+    thread_local std::vector<double> scratch;
+    if (scratch.size() < entries * dim) scratch.resize(entries * dim);
     for (size_t i = begin; i < end; ++i) {
       double w_pos, w_neg;
       ResolveWeights(sample_weights_[i], w_pos, w_neg);
       const size_t contexts = context_counts_[i];
-      std::span<double> center(center_grads_.data() + i * dim, dim);
+      std::span<double> center(scratch.data(), dim);
       std::span<NodeId> nodes(context_nodes_.data() + i * slot, contexts);
-      std::span<double> rows(context_grads_.data() + i * slot * dim,
-                             contexts * dim);
+      std::span<double> rows(scratch.data() + dim, contexts * dim);
       // `nodes` is the kernel's input (context, then negatives) and its
       // output: it writes each context back to the entry it read it from.
       losses_[i] = ComputeSgnsGradientInto(model, centers_[i], nodes[0],
@@ -163,49 +204,41 @@ Status BatchGradientEngine::TryAccumulateBatch(const SkipGramModel& model,
         ClipL2InPlace(center, opts_.clip_threshold);
         ClipL2InPlace(rows, opts_.clip_threshold);
       }
-    }
-  });
-
-  // Phase 2 (serial, cheap): loss in sample order and slab slots in
-  // first-touch sample order — both independent of worker scheduling.
-  // Touching may grow the slabs, so it finishes before phase 3 takes rows.
-  if (center_slots_.size() < m) center_slots_.resize(m);
-  if (context_slots_.size() < m * slot) context_slots_.resize(m * slot);
-  double batch_loss = 0.0;
-  for (size_t i = 0; i < m; ++i) {
-    batch_loss += losses_[i];
-    center_slots_[i] = grad_in_.Touch(centers_[i]);
-    const NodeId* nodes = context_nodes_.data() + i * slot;
-    uint32_t* slots = context_slots_.data() + i * slot;
-    for (uint32_t k = 0; k < context_counts_[i]; ++k) {
-      slots[k] = grad_out_.Touch(nodes[k]);
-    }
-  }
-
-  // Phase 3: sample-order reduction, sharded by slot ownership. Shard s adds
-  // only slab rows with slot ≡ s (mod shards), walking samples in order — so
-  // every accumulator row receives its additions in exactly the serial
-  // order no matter how many shards run.
-  const size_t shards = pool_.num_threads();
-  pool_.ParallelFor(shards, 1, [&](size_t begin, size_t end) {
-    for (size_t shard = begin; shard < end; ++shard) {
-      for (size_t i = 0; i < m; ++i) {
-        const uint32_t center = center_slots_[i];
-        if (center % shards == shard) {
-          kernels::Axpy(1.0, center_grads_.data() + i * dim,
-                        grad_in_.SlotRow(center).data(), dim);
-        }
-        const uint32_t* slots = context_slots_.data() + i * slot;
-        const double* rows = context_grads_.data() + i * slot * dim;
-        for (uint32_t k = 0; k < context_counts_[i]; ++k) {
-          if (slots[k] % shards != shard) continue;
-          kernels::Axpy(1.0, rows + static_cast<size_t>(k) * dim,
-                        grad_out_.SlotRow(slots[k]).data(), dim);
+      const uint32_t* places = places_.data() + i * entries;
+      for (size_t e = 0; e <= contexts; ++e) {
+        const double* row = scratch.data() + e * dim;
+        const uint32_t p = places[e];
+        if (p & kRepeated) {
+          std::copy_n(row, dim, repeat_rows_.data() + (p & ~kRepeated) * dim);
+        } else {
+          SparseRowGrad& grads = e == 0 ? grad_in_ : grad_out_;
+          kernels::Axpy(1.0, row, grads.SlotRow(p).data(), dim);
         }
       }
     }
   });
 
+  // Phase 4: the repeated rows, sharded by slot ownership. Shard s adds
+  // only slab rows with slot ≡ s (mod shards), walking repeats_ in sample
+  // order — so every accumulator row receives its additions in exactly the
+  // serial order no matter how many shards run.
+  if (!repeats_.empty()) {
+    const size_t shards = pool_.num_threads();
+    pool_.ParallelFor(shards, 1, [&](size_t begin, size_t end) {
+      for (size_t shard = begin; shard < end; ++shard) {
+        for (size_t r = 0; r < repeats_.size(); ++r) {
+          const Repeat rep = repeats_[r];
+          if (rep.slot % shards != shard) continue;
+          SparseRowGrad& grads = rep.out ? grad_out_ : grad_in_;
+          kernels::Axpy(1.0, repeat_rows_.data() + r * dim,
+                        grads.SlotRow(rep.slot).data(), dim);
+        }
+      }
+    });
+  }
+
+  double batch_loss = 0.0;  // sample order, so thread-count invariant
+  for (size_t i = 0; i < m; ++i) batch_loss += losses_[i];
   *loss = batch_loss;
   return OkStatus();
 }

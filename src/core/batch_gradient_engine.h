@@ -3,21 +3,29 @@
 // SePrivGEmb::Train() used to compute every per-sample skip-gram gradient,
 // clip, and noise draw serially with per-negative heap allocations. This
 // engine fans the batch out over a persistent ThreadPool while keeping the
-// result BIT-IDENTICAL for every thread count:
+// result BIT-IDENTICAL for every thread count. An entry is one row that a
+// sample contributes: its center's w_in row, then its k+1 context rows of
+// w_out.
 //
-//   1. gather, then gradient — the batch's samples are first copied into
-//      preallocated per-sample slots, one source shard at a time; then one
-//      fan-out over the whole batch computes ComputeSgnsGradient + per-sample
-//      clipping in those slots (no allocation on the hot path); which worker
-//      handles a sample never affects its slot;
-//   2. touch phase   — the touched-row lists, and with them each row's
-//      slab slot (core/sparse_row_grad.h), are built serially in
-//      first-touch sample order, so they are independent of scheduling;
-//   3. reduce phase  — slab rows are partitioned over workers by slot;
-//      every worker walks the batch in sample order and adds only the rows
-//      it owns, so each row receives its floating-point additions in
-//      exactly the serial order regardless of the partition;
-//   4. noise phase   — Gaussian perturbation (both the non-zero Eq. 9 and
+//   1. gather        — the batch's samples are copied into preallocated
+//      per-sample slots, one source shard at a time; which worker handles a
+//      sample never affects its slot;
+//   2. touch phase   — every entry's slab slot (core/sparse_row_grad.h) is
+//      assigned serially in first-touch sample order, so the slots are
+//      independent of scheduling. The entry whose touch created a slot owns
+//      that row in phase 3; every other entry (a row repeated in the batch,
+//      or one an earlier call touched) joins the repeats list, in sample
+//      order;
+//   3. gradient      — one fan-out over the batch computes
+//      ComputeSgnsGradient and the per-sample clipping into a per-worker
+//      scratch (no allocation on the hot path), then adds each
+//      slot-creating entry's row into its zero slab row and copies each
+//      repeated entry's row to its place in the repeats list;
+//   4. repeats       — slab rows are partitioned over workers by slot;
+//      every worker walks the repeats in sample order and adds only the
+//      rows it owns. A slab row thus ends as 0 + g₁ + g₂ + … in sample
+//      order, the serial sum, whatever the partition;
+//   5. noise phase   — Gaussian perturbation (both the non-zero Eq. 9 and
 //      naive Eq. 6 strategies) comes from the counter-based generator
 //      kernels::GaussianAccumulate: one master draw keys the call, stream
 //      0 is grad_in/w_in and stream 1 grad_out/w_out, and element
@@ -26,13 +34,14 @@
 //      is a pure function of those coordinates, so it cannot depend on the
 //      thread count or on the row blocks the pool schedules.
 //
-// Fixed grain sizes (never derived from num_threads) make phase 1
-// scheduling-invariant; phase 4 is invariant by construction.
+// Fixed grain sizes (never derived from num_threads) make phases 1 and 3
+// scheduling-invariant; phase 5 is invariant by construction.
 //
 // Thread-safety model: the engine holds NO locks of its own — every phase
-// partitions its writes by ownership (per-sample scratch slots, per-slot
-// reduction ownership, per-block noise ranges) and synchronises only
-// through ThreadPool::ParallelFor's fork/join barrier, whose handshake
+// partitions its writes by ownership (per-sample slots, per-worker scratch,
+// a new slot's row to the entry that created it, per-slot ownership of the
+// repeats, per-block noise ranges) and synchronises only through
+// ThreadPool::ParallelFor's fork/join barrier, whose handshake
 // util/thread_pool.h documents and the TSan suites exercise. A
 // TryAccumulateBatch/Perturb*/ApplyUpdate call is NOT reentrant: one engine
 // serves one training loop.
@@ -44,8 +53,8 @@
 // shard at a time — a group is a few samples when a batch spreads over many
 // small pages, so the gather copies small groups inline and leaves the
 // parallelism to the gradient fan-out. Every sample lands in its ORIGINAL
-// batch slot, so the gradients and phases 2–3 (and therefore the model) are
-// bit-identical to the unsharded in-memory path.
+// batch slot, so phases 2–4 (and therefore the model) are bit-identical to
+// the unsharded in-memory path.
 
 #ifndef SEPRIVGEMB_CORE_BATCH_GRADIENT_ENGINE_H_
 #define SEPRIVGEMB_CORE_BATCH_GRADIENT_ENGINE_H_
@@ -209,20 +218,30 @@ class BatchGradientEngine {
   SparseRowGrad grad_in_;   // ∂L/∂Win accumulator (B touched rows max)
   SparseRowGrad grad_out_;  // ∂L/∂Wout accumulator (B·(k+1) rows max)
 
-  // Per-sample scratch, sized on first TryAccumulateBatch and reused. Sample i
-  // owns center_grads_[i·dim ..), context slab i·ctx_slot_.. of
-  // context_nodes_/context_grads_, losses_[i], context_counts_[i].
+  // Per-sample slots, sized on first TryAccumulateBatch and reused. Sample i
+  // owns context slab i·ctx_slot_.. of context_nodes_, and entry i of
+  // context_counts_, losses_, centers_ and sample_weights_; its entries own
+  // places_[i·(ctx_slot_ + 1) ..], the center's first.
   size_t ctx_slot_ = 0;  // max contexts (k+1) per sample in the current batch
-  std::vector<double> center_grads_;
-  std::vector<double> context_grads_;
   std::vector<NodeId> context_nodes_;
   std::vector<uint32_t> context_counts_;
   std::vector<double> losses_;
   std::vector<NodeId> centers_;   // sample i's center
   std::vector<double> sample_weights_;  // sample i's p_ij
-  std::vector<uint32_t> center_slots_;   // phase 2's grad_in slot of sample i
-  std::vector<uint32_t> context_slots_;  // grad_out slots, context_nodes_ shape
   std::vector<uint32_t> order_;   // shard-sorted visit order of batch slots
+
+  // Phase 2's verdict per entry: the slab slot the entry created, or
+  // kRepeated | r when the row already had a slot and the entry is
+  // repeats_[r]. Slots stay below num_nodes, and r below the batch's entry
+  // count, so neither reaches the flag bit.
+  static constexpr uint32_t kRepeated = 1u << 31;
+  std::vector<uint32_t> places_;
+  struct Repeat {
+    uint32_t slot;  // the slab row the entry adds into
+    bool out;       // grad_out_ (a context row) rather than grad_in_
+  };
+  std::vector<Repeat> repeats_;      // this call's repeated entries, in order
+  std::vector<double> repeat_rows_;  // repeats_[r]'s clipped row at r·dim
 };
 
 }  // namespace sepriv

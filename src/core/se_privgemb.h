@@ -7,9 +7,10 @@
 //   2. materialise the disjoint subgraphs GS (Algorithm 1);
 //   3. per epoch: subsample B subgraphs (γ = B/|E|), compute per-sample
 //      skip-gram gradients (Eq. 7/8), clip each to C, sum, perturb with the
-//      configured strategy (Eq. 6 naive / Eq. 9 non-zero), apply averaged
-//      update; account one subsampled-Gaussian RDP step and stop when the
-//      δ̂ implied by the target ε would exceed δ (lines 8–10).
+//      configured strategy (Eq. 6 naive / Eq. 9 non-zero), apply η times
+//      the noisy batch sum (not the mean: se_privgemb.cc gives the reason);
+//      account one subsampled-Gaussian RDP step and stop when the δ̂ implied
+//      by the target ε would exceed δ (lines 8–10).
 //
 // The paper claims node-level (α, n·ε_γ(α))-RDP for the returned Win/Wout by
 // Theorem 5, converted to (ε, δ)-DP via Theorem 1. The default mechanism

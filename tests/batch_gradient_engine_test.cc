@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "embedding/subgraph_sampler.h"
 #include "graph/generators.h"
 #include "linalg/matrix.h"
+#include "util/math_util.h"
 #include "util/mem.h"
 #include "util/rng.h"
 
@@ -79,24 +79,31 @@ Matrix DenseCopy(const SparseRowGrad& g, const Fixture& f) {
 }
 
 /// The pre-engine serial reference: per-sample gradient, per-matrix clip,
-/// accumulate in sample order (what SePrivGEmb::Train used to inline).
-void SerialReference(const Fixture& f, bool clip, double clip_threshold,
-                     SparseRowGrad& grad_in, SparseRowGrad& grad_out,
-                     double& loss_out) {
-  loss_out = 0.0;
-  for (uint32_t idx : f.batch) {
-    const Subgraph s = f.SampleAt(idx);
-    const double pij = f.weights[idx];
-    SgnsGradient g = ComputeSgnsGradient(f.model, s, pij, pij);
-    loss_out += g.loss;
+/// accumulate in sample order (what SePrivGEmb::Train used to inline), on
+/// top of what `grad_in` and `grad_out` already hold. Reads the samples
+/// through `source` and returns the batch loss.
+double SerialReference(const SkipGramModel& model, const SampleSource& source,
+                       std::span<const uint32_t> batch, bool clip,
+                       double clip_threshold, SparseRowGrad& grad_in,
+                       SparseRowGrad& grad_out) {
+  double loss = 0.0;
+  for (uint32_t idx : batch) {
+    const SampleView v = source.Get(idx);
+    const Subgraph s{v.center, v.context,
+                     {v.negatives.begin(), v.negatives.end()}, idx};
+    SgnsGradient g = ComputeSgnsGradient(model, s, v.weight, v.weight);
+    loss += g.loss;
     if (clip) {
       // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
       ClipL2InPlace(g.center_grad, clip_threshold);
-      double sq = 0.0;
+      // The context rows clip as one block, whose norm the kernel layer
+      // sums in its own order; a plain loop can differ in the last bit.
+      std::vector<double> block;
       for (const auto& [_, grad] : g.context_grads) {
-        for (double x : grad) sq += x * x;
+        block.insert(block.end(), grad.begin(), grad.end());
       }
-      const double scale = ClipScale(std::sqrt(sq), clip_threshold);
+      const double scale =
+          ClipScale(Norm(block.data(), block.size()), clip_threshold);
       if (scale != 1.0) {
         for (auto& [_, grad] : g.context_grads) {
           for (double& x : grad) x *= scale;
@@ -108,6 +115,7 @@ void SerialReference(const Fixture& f, bool clip, double clip_threshold,
       grad_out.AddToRow(row, grad);
     }
   }
+  return loss;
 }
 
 /// Bit equality of two accumulators: same touched rows in the same slot
@@ -197,26 +205,82 @@ TEST(BatchGradientEngineTest, FailedPinLeavesLossAndAccumulatorsUntouched) {
   }
 }
 
+/// `inner`'s samples plus a hand-built one at index inner.size(), which the
+/// sampler would not draw; it reports shard 0 and reads no pinned shard.
+class PlusOneSource final : public SampleSource {
+ public:
+  PlusOneSource(SampleSource& inner, const Subgraph& extra, double weight)
+      : inner_(inner), extra_(extra), weight_(weight) {}
+
+  size_t size() const override { return inner_.size() + 1; }
+  size_t NegativesCount(uint32_t idx) const override {
+    return idx == inner_.size() ? extra_.negatives.size()
+                                : inner_.NegativesCount(idx);
+  }
+  size_t num_shards() const override { return inner_.num_shards(); }
+  size_t ShardOf(uint32_t idx) const override {
+    return idx == inner_.size() ? 0 : inner_.ShardOf(idx);
+  }
+  Status TryPinShard(size_t s) override { return inner_.TryPinShard(s); }
+  SampleView Get(uint32_t idx) const override {
+    if (idx != inner_.size()) return inner_.Get(idx);
+    return {extra_.center, extra_.context, weight_, extra_.negatives};
+  }
+
+ private:
+  SampleSource& inner_;
+  const Subgraph& extra_;
+  double weight_;
+};
+
+// Rows that repeat — within a sample, within a batch, and across two batches
+// accumulated before one ApplyUpdate — get the serial reference's bits, from
+// the resident source and from a sharded one.
 TEST(BatchGradientEngineTest, MatchesSerialReferenceBitwise) {
   const Fixture f;
-  for (bool clip : {false, true}) {
-    SparseRowGrad ref_in(f.graph.num_nodes(), f.model.dim());
-    SparseRowGrad ref_out(f.graph.num_nodes(), f.model.dim());
-    double ref_loss = 0.0;
-    SerialReference(f, clip, 0.7, ref_in, ref_out, ref_loss);
+  // Clips about half of the center and context blocks here; the fixture's
+  // 0.7 clips none of them.
+  constexpr double kClip = 0.04;
+  // A sample whose negatives repeat w_out rows: its first negative twice,
+  // then its own context.
+  const SubgraphTable::Row row = f.sampler.All()[f.batch[0]];
+  const Subgraph repeating{
+      row.center,
+      row.context,
+      {row.negatives[0], row.negatives[0], row.context, row.negatives[1]},
+      f.batch[0]};
+  // The second batch lands on slots that the first created, and ends with
+  // the hand-built sample.
+  Rng rng(41);
+  std::vector<uint32_t> second = f.sampler.SampleBatch(40, rng);
+  second.push_back(static_cast<uint32_t>(f.sampler.All().size()));
 
+  InMemorySampleSource resident(f.sampler.All(), f.weights);
+  FlakySource sharded(f, /*per_shard=*/16);
+  for (bool clip : {false, true}) {
     for (size_t threads : {1UL, 2UL, 4UL}) {
-      BatchGradientEngine engine(f.Options(threads, clip), f.weights);
-      const double loss = f.Accumulate(engine, f.model, f.batch);
-      EXPECT_EQ(loss, ref_loss) << threads << " threads, clip=" << clip;
-      EXPECT_EQ(
-          MaxAbsDiff(DenseCopy(engine.grad_in(), f), DenseCopy(ref_in, f)),
-          0.0);
-      EXPECT_EQ(
-          MaxAbsDiff(DenseCopy(engine.grad_out(), f), DenseCopy(ref_out, f)),
-          0.0);
-      EXPECT_EQ(engine.grad_in().touched(), ref_in.touched());
-      EXPECT_EQ(engine.grad_out().touched(), ref_out.touched());
+      for (SampleSource* inner : {static_cast<SampleSource*>(&resident),
+                                  static_cast<SampleSource*>(&sharded)}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads, clip=" +
+                     std::to_string(clip) + ", " +
+                     std::to_string(inner->num_shards()) + " shards");
+        PlusOneSource source(*inner, repeating, f.weights[f.batch[0]]);
+        BatchGradientEngineOptions opts = f.Options(threads, clip);
+        opts.clip_threshold = kClip;
+        BatchGradientEngine engine(opts, f.weights);
+        SparseRowGrad ref_in(f.graph.num_nodes(), f.model.dim());
+        SparseRowGrad ref_out(f.graph.num_nodes(), f.model.dim());
+        for (const std::vector<uint32_t>& batch : {f.batch, second}) {
+          const double ref_loss = SerialReference(
+              f.model, source, batch, clip, kClip, ref_in, ref_out);
+          double loss = 0.0;
+          ASSERT_TRUE(
+              engine.TryAccumulateBatch(f.model, source, batch, &loss).ok());
+          EXPECT_EQ(loss, ref_loss);
+          EXPECT_TRUE(SameBits(engine.grad_in(), ref_in));
+          EXPECT_TRUE(SameBits(engine.grad_out(), ref_out));
+        }
+      }
     }
   }
 }
