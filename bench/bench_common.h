@@ -55,11 +55,6 @@ SePrivGEmbConfig DefaultConfig(const Profile& profile);
 double StrucEquOf(const Graph& graph, const Matrix& embedding,
                   const Profile& profile);
 
-// (The old serial `Repeat(repeats, run)` helper is gone: the bench family
-// now builds explicit cell grids and calls runner::RunCells/RunGrid —
-// runner::RepeatCells keeps the legacy 1000 + 37·r seed schedule for the
-// simple repeat shape.)
-
 /// "0.4599±0.0530"-style cell.
 std::string Cell(const RunSummary& s);
 

@@ -17,7 +17,7 @@
 //      or one an earlier call touched) joins the repeats list, in sample
 //      order;
 //   3. gradient      — one fan-out over the batch computes
-//      ComputeSgnsGradient and the per-sample clipping into a per-worker
+//      ComputeSgnsGradientInto and the per-sample clipping into a per-worker
 //      scratch (no allocation on the hot path), then adds each
 //      slot-creating entry's row into its zero slab row and copies each
 //      repeated entry's row to its place in the repeats list;

@@ -23,12 +23,7 @@ const char* PerturbationName(PerturbationStrategy s) {
 
 size_t SePrivGEmbConfig::ResolvedThreads() const {
   if (num_threads > 0) return num_threads;
-  constexpr size_t kMaxThreads = 1024;
-  const size_t parsed = ParseSizeEnv("SEPRIV_NUM_THREADS", kMaxThreads,
-                                     /*fallback=*/0,
-                                     /*zero_means_fallback=*/true);
-  if (parsed > 0) return parsed;
-  return ThreadPool::ResolveThreads(0);
+  return ThreadPool::ResolveAutoThreads();
 }
 
 std::string SePrivGEmbConfig::ResolvedProximityCachePath() const {

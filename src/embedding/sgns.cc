@@ -15,16 +15,6 @@ double SgnsLoss(const SkipGramModel& model, const Subgraph& s, double w_pos,
   return loss;
 }
 
-double ComputeSgnsGradientInto(const SkipGramModel& model, const Subgraph& s,
-                               double w_pos, double w_neg,
-                               std::span<double> center_grad,
-                               std::span<NodeId> context_nodes,
-                               std::span<double> context_grads) {
-  return ComputeSgnsGradientInto(model, s.center, s.context, s.negatives,
-                                 w_pos, w_neg, center_grad, context_nodes,
-                                 context_grads);
-}
-
 double ComputeSgnsGradientInto(const SkipGramModel& model, NodeId center,
                                NodeId context,
                                std::span<const NodeId> negatives, double w_pos,
@@ -75,8 +65,8 @@ SgnsGradient ComputeSgnsGradient(const SkipGramModel& model, const Subgraph& s,
 
   std::vector<NodeId> nodes(contexts);
   std::vector<double> rows(contexts * dim);
-  g.loss = ComputeSgnsGradientInto(model, s, w_pos, w_neg, g.center_grad,
-                                   nodes, rows);
+  g.loss = ComputeSgnsGradientInto(model, s.center, s.context, s.negatives,
+                                   w_pos, w_neg, g.center_grad, nodes, rows);
 
   g.context_grads.reserve(contexts);
   for (size_t k = 0; k < contexts; ++k) {
@@ -86,28 +76,6 @@ SgnsGradient ComputeSgnsGradient(const SkipGramModel& model, const Subgraph& s,
                             rows.begin() + static_cast<ptrdiff_t>((k + 1) * dim)));
   }
   return g;
-}
-
-double SgdStep(SkipGramModel& model, const Subgraph& s, double w_pos,
-               double w_neg, double learning_rate) {
-  // Uses the flat-scratch form directly: this is the per-sample hot path of
-  // the non-private trainers, and the pair-of-vectors SgnsGradient would
-  // cost k+1 extra allocations per call.
-  const size_t dim = model.dim();
-  const size_t contexts = s.negatives.size() + 1;
-  std::vector<double> center(dim);
-  std::vector<NodeId> nodes(contexts);
-  std::vector<double> rows(contexts * dim);
-  const double loss =
-      ComputeSgnsGradientInto(model, s, w_pos, w_neg, center, nodes, rows);
-
-  auto vi = model.w_in.Row(s.center);
-  kernels::Axpy(-learning_rate, center.data(), vi.data(), dim);
-  for (size_t k = 0; k < contexts; ++k) {
-    auto vn = model.w_out.Row(nodes[k]);
-    kernels::Axpy(-learning_rate, rows.data() + k * dim, vn.data(), dim);
-  }
-  return loss;
 }
 
 }  // namespace sepriv

@@ -42,36 +42,21 @@ double SgnsLoss(const SkipGramModel& model, const Subgraph& s, double w_pos,
 SgnsGradient ComputeSgnsGradient(const SkipGramModel& model, const Subgraph& s,
                                  double w_pos, double w_neg);
 
-/// Allocation-free form used by the batch-gradient hot path: writes the
-/// gradient into caller-owned scratch instead of heap-allocating per row.
-///   center_grad    — dim() doubles, overwritten with row `s.center` of ∂L/∂Win;
+/// Allocation-free form used by the batch-gradient hot path, on a raw
+/// (center, context, negatives) triple: writes the gradient into
+/// caller-owned scratch instead of heap-allocating per row.
+///   center_grad    — dim() doubles, overwritten with row `center` of ∂L/∂Win;
 ///   context_nodes  — at least negatives+1 NodeIds; entry 0 is the positive;
 ///   context_grads  — (negatives+1)·dim() doubles, row-major, aligned with
 ///                    context_nodes.
 /// Returns the per-sample loss. The number of context rows written is
-/// s.negatives.size() + 1.
-double ComputeSgnsGradientInto(const SkipGramModel& model, const Subgraph& s,
-                               double w_pos, double w_neg,
-                               std::span<double> center_grad,
-                               std::span<NodeId> context_nodes,
-                               std::span<double> context_grads);
-
-/// The same computation on a raw (center, context, negatives) triple — the
-/// sample-source form used when the Subgraph is not materialised (samples
-/// streamed from a disk store). The Subgraph overload delegates here, so the
-/// two entry points cannot drift.
+/// negatives.size() + 1.
 double ComputeSgnsGradientInto(const SkipGramModel& model, NodeId center,
                                NodeId context,
                                std::span<const NodeId> negatives, double w_pos,
                                double w_neg, std::span<double> center_grad,
                                std::span<NodeId> context_nodes,
                                std::span<double> context_grads);
-
-/// Plain (non-private) SGD step on one subgraph; returns the loss before the
-/// update. Used by the SE-GEmb non-private counterpart's fast path and by
-/// convergence tests.
-double SgdStep(SkipGramModel& model, const Subgraph& s, double w_pos,
-               double w_neg, double learning_rate);
 
 }  // namespace sepriv
 

@@ -21,11 +21,12 @@ struct SkipGramModel {
 
   SkipGramModel() = default;
 
-  /// word2vec-style initialisation: Win ~ U(-0.5/r, 0.5/r), Wout = 0 is the
-  /// classic choice but prevents any learning signal through σ(v·0); we use
-  /// small uniform noise on both sides instead. Win, then Wout, from
-  /// consecutive ranges of `rng`'s stream; each is filled in parallel as its
-  /// first touch (Matrix::Uniform).
+  /// Both matrices ~ U(-0.5/r, 0.5/r). word2vec starts Wout at 0 instead,
+  /// and learns from there: at Wout = 0 the gradient of a Wout row is
+  /// (σ(0) − y)·v_i, which is not zero. The uniform Wout stays because
+  /// changing the init would move every pinned digest. Win, then Wout,
+  /// from consecutive ranges of `rng`'s stream; each is filled in parallel
+  /// as its first touch (Matrix::Uniform).
   SkipGramModel(size_t num_nodes, size_t dim, Rng& rng) {
     const double a = 0.5 / static_cast<double>(dim);
     w_in = Matrix::Uniform(num_nodes, dim, rng, -a, a);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "linalg/simd/dispatch.h"
-#include "util/env.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -70,15 +69,6 @@ LinalgPool& PoolState() {
   return state;
 }
 
-size_t ResolveAuto() {
-  // Same knob the trainer honours (core/config.cc): explicit request wins,
-  // then SEPRIV_NUM_THREADS, then the hardware.
-  constexpr size_t kMaxThreads = 1024;
-  const size_t env = ParseSizeEnv("SEPRIV_NUM_THREADS", kMaxThreads, 0,
-                                  /*zero_means_fallback=*/true);
-  return ThreadPool::ResolveThreads(env);
-}
-
 // True while the current thread is executing inside a parallel kernel; any
 // nested kernel call then runs serially instead of deadlocking the pool.
 thread_local bool tls_in_parallel = false;
@@ -94,7 +84,7 @@ size_t LinalgThreads() {
   if (cached > 0) return cached;
   MutexLock lock(st.mu);
   if (st.pool) return st.pool->num_threads();
-  return st.requested > 0 ? st.requested : ResolveAuto();
+  return st.requested > 0 ? st.requested : ThreadPool::ResolveAutoThreads();
 }
 
 void SetLinalgThreads(size_t n) {
@@ -117,7 +107,8 @@ void ParallelTasks(size_t n_tasks, const std::function<void(size_t)>& task) {
   }
   MutexLock lock(st.mu, kAdoptLock);
   if (!st.pool) {
-    const size_t threads = st.requested > 0 ? st.requested : ResolveAuto();
+    const size_t threads =
+        st.requested > 0 ? st.requested : ThreadPool::ResolveAutoThreads();
     st.pool = std::make_unique<ThreadPool>(threads);
     st.resolved.store(st.pool->num_threads(), std::memory_order_release);
   }

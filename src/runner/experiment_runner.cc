@@ -57,15 +57,4 @@ std::vector<double> RunCells(std::span<const ExperimentCell> cells) {
   return out;
 }
 
-RunSummary RepeatCells(int repeats,
-                       const std::function<double(const CellContext&)>& fn) {
-  std::vector<ExperimentCell> cells;
-  cells.reserve(static_cast<size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    cells.push_back({"repeat/" + std::to_string(r),
-                     static_cast<uint64_t>(1000 + 37 * r), fn});
-  }
-  return Summarize(RunCells(cells));
-}
-
 }  // namespace sepriv::runner

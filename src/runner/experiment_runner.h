@@ -34,8 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "eval/metrics.h"
-
 namespace sepriv::runner {
 
 /// Everything a cell body receives from the scheduler.
@@ -77,13 +75,6 @@ struct ExperimentCell {
 /// Runs every cell (concurrently, deterministically) and returns the values
 /// in input order.
 std::vector<double> RunCells(std::span<const ExperimentCell> cells);
-
-/// The bench family's legacy Repeat schedule: `repeats` cells seeded
-/// 1000 + 37·r, executed as a grid and summarised mean±sd. Seeds are kept
-/// byte-compatible with the old serial Repeat() so table values stay
-/// comparable across PRs; only the wall-clock changed.
-RunSummary RepeatCells(int repeats,
-                       const std::function<double(const CellContext&)>& fn);
 
 }  // namespace sepriv::runner
 

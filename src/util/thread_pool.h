@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/env.h"
 #include "util/mutex.h"
 
 namespace sepriv {
@@ -60,6 +61,17 @@ class ThreadPool {
   static size_t ResolveThreads(size_t requested) {
     if (requested > 0) return requested;
     return std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+
+  /// The library's auto policy, for a knob left at 0: SEPRIV_NUM_THREADS if
+  /// it holds a count in [1, 1024], else ResolveThreads(0). The trainer's
+  /// engine (SePrivGEmbConfig::ResolvedThreads) and the shared linalg pool
+  /// both resolve through here, the one reader of that variable.
+  static size_t ResolveAutoThreads() {
+    constexpr size_t kMaxThreads = 1024;
+    return ResolveThreads(ParseSizeEnv("SEPRIV_NUM_THREADS", kMaxThreads,
+                                       /*fallback=*/0,
+                                       /*zero_means_fallback=*/true));
   }
 
   explicit ThreadPool(size_t num_threads) {

@@ -54,12 +54,16 @@ struct Fixture {
             idx};
   }
 
+  /// Clips some but not all of the batch's center and context blocks
+  /// (FixtureBatchClipsSomeBlocks), whose norms run from 0.015 to 0.10.
+  static constexpr double kClip = 0.04;
+
   BatchGradientEngineOptions Options(size_t threads, bool clip) const {
     BatchGradientEngineOptions o;
     o.num_nodes = graph.num_nodes();
     o.dim = model.dim();
     o.clip_per_sample = clip;
-    o.clip_threshold = 0.7;
+    o.clip_threshold = kClip;
     o.negative_weighting = NegativeWeighting::kPaperPij;
     o.min_weight = 0.05;
     o.num_threads = threads;
@@ -128,6 +132,29 @@ bool SameBits(const SparseRowGrad& a, const SparseRowGrad& b) {
     if (std::memcmp(ra.data(), rb.data(), ra.size_bytes()) != 0) return false;
   }
   return true;
+}
+
+// Every engine test that passes clip = true scales some rows: the fixture
+// batch has center and context blocks on both sides of Fixture::kClip.
+TEST(BatchGradientEngineTest, FixtureBatchClipsSomeBlocks) {
+  const Fixture f;
+  size_t centers_clipped = 0, contexts_clipped = 0;
+  for (uint32_t idx : f.batch) {
+    const SgnsGradient g =
+        ComputeSgnsGradient(f.model, f.SampleAt(idx), f.weights[idx],
+                            f.weights[idx]);
+    std::vector<double> block;
+    for (const auto& [_, grad] : g.context_grads) {
+      block.insert(block.end(), grad.begin(), grad.end());
+    }
+    centers_clipped +=
+        Norm(g.center_grad.data(), g.center_grad.size()) > Fixture::kClip;
+    contexts_clipped += Norm(block.data(), block.size()) > Fixture::kClip;
+  }
+  EXPECT_GT(centers_clipped, 0u);
+  EXPECT_LT(centers_clipped, f.batch.size());
+  EXPECT_GT(contexts_clipped, 0u);
+  EXPECT_LT(contexts_clipped, f.batch.size());
 }
 
 /// The fixture's samples as a sharded source of `per_shard` samples per
@@ -238,9 +265,6 @@ class PlusOneSource final : public SampleSource {
 // the resident source and from a sharded one.
 TEST(BatchGradientEngineTest, MatchesSerialReferenceBitwise) {
   const Fixture f;
-  // Clips about half of the center and context blocks here; the fixture's
-  // 0.7 clips none of them.
-  constexpr double kClip = 0.04;
   // A sample whose negatives repeat w_out rows: its first negative twice,
   // then its own context.
   const SubgraphTable::Row row = f.sampler.All()[f.batch[0]];
@@ -265,14 +289,12 @@ TEST(BatchGradientEngineTest, MatchesSerialReferenceBitwise) {
                      std::to_string(clip) + ", " +
                      std::to_string(inner->num_shards()) + " shards");
         PlusOneSource source(*inner, repeating, f.weights[f.batch[0]]);
-        BatchGradientEngineOptions opts = f.Options(threads, clip);
-        opts.clip_threshold = kClip;
-        BatchGradientEngine engine(opts, f.weights);
+        BatchGradientEngine engine(f.Options(threads, clip), f.weights);
         SparseRowGrad ref_in(f.graph.num_nodes(), f.model.dim());
         SparseRowGrad ref_out(f.graph.num_nodes(), f.model.dim());
         for (const std::vector<uint32_t>& batch : {f.batch, second}) {
           const double ref_loss = SerialReference(
-              f.model, source, batch, clip, kClip, ref_in, ref_out);
+              f.model, source, batch, clip, Fixture::kClip, ref_in, ref_out);
           double loss = 0.0;
           ASSERT_TRUE(
               engine.TryAccumulateBatch(f.model, source, batch, &loss).ok());
@@ -449,7 +471,8 @@ TEST(SgnsGradientIntoTest, MatchesAllocatingForm) {
     std::vector<NodeId> nodes(contexts);
     std::vector<double> rows(contexts * dim);
     const double loss =
-        ComputeSgnsGradientInto(f.model, s, pij, 0.4, center, nodes, rows);
+        ComputeSgnsGradientInto(f.model, s.center, s.context, s.negatives, pij,
+                                0.4, center, nodes, rows);
 
     EXPECT_EQ(loss, g.loss);
     EXPECT_EQ(center, g.center_grad);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/sparse_row_grad.h"
+#include "dp/accountant.h"
 #include "eval/strucequ.h"
 #include "graph/generators.h"
 #include "test_tmpdir.h"
@@ -166,6 +167,81 @@ TEST(TrainerTest, LargerEpsilonAllowsMoreEpochs) {
   cfg.epsilon = 3.5;
   SePrivGEmb t_loose(g, ProximityKind::kDeepWalk, cfg);
   EXPECT_GT(t_loose.Train().epochs_allowed, t_tight.Train().epochs_allowed);
+}
+
+// The published privacy spend is the accountant's arithmetic at the run's
+// own (σ, γ = B/|E|, T), evaluated here by an independent accountant. An
+// accountant built with the wrong σ or γ moves epochs_allowed (2σ allows 46
+// epochs here and γ/2 allows 69, against 12) and spent_epsilon with it.
+TEST(TrainerTest, SpentEpsilonMatchesAnIndependentAccountant) {
+  const Graph g = BarabasiAlbert(200, 3, 1);
+  SePrivGEmbConfig cfg;  // paper defaults: B = 128, σ = 5, ε = 3.5
+  cfg.dim = 32;
+  cfg.max_epochs = 100000;
+  cfg.track_loss = false;
+  const TrainResult r =
+      SePrivGEmb(g, ProximityKind::kPreferentialAttachment, cfg).Train();
+  ASSERT_TRUE(r.stopped_by_budget);
+  ASSERT_GT(r.epochs_run, 0u);
+  EXPECT_EQ(r.epochs_run, r.epochs_allowed);
+
+  RdpAccountant want(cfg.noise_multiplier,
+                     static_cast<double>(cfg.batch_size) /
+                         static_cast<double>(g.num_edges()),
+                     cfg.rdp_max_order);
+  EXPECT_EQ(r.epochs_allowed, want.MaxSteps(cfg.epsilon, cfg.delta));
+  want.Step(r.epochs_run);
+  const DpBound bound = want.GetEpsilon(cfg.delta);
+  EXPECT_EQ(r.spent_epsilon, bound.epsilon);
+  EXPECT_EQ(r.best_rdp_order, bound.best_order);
+  EXPECT_EQ(r.spent_delta, want.GetDelta(cfg.epsilon));
+}
+
+// Eq. 9's noise, measured without a digest. Two one-epoch runs that differ
+// only in σ share the batch, the clipped gradient and the noise key, so on
+// every row the batch touched, w_{σ=1} − w_{σ=5} = η·C·(5 − 1)·Z with Z the
+// same standard normal draws: the scaled difference has variance 1 on both
+// matrices.
+TEST(TrainerTest, NonZeroNoiseStddevIsClipTimesSigma) {
+  const Graph g = BarabasiAlbert(2000, 4, 3);
+  SePrivGEmbConfig cfg;
+  cfg.dim = 32;
+  cfg.epsilon = 1e6;  // the budget never stops the one epoch
+  cfg.track_loss = false;
+  auto train = [&](size_t epochs, double sigma) {
+    cfg.max_epochs = epochs;
+    cfg.noise_multiplier = sigma;
+    return SePrivGEmb(g, ProximityKind::kPreferentialAttachment, cfg).Train();
+  };
+  const TrainResult init = train(0, 5.0);
+  const TrainResult loud = train(1, 5.0);
+  const TrainResult quiet = train(1, 1.0);
+  ASSERT_EQ(loud.epochs_run, 1u);
+  ASSERT_EQ(quiet.epochs_run, 1u);
+
+  const double scale = cfg.learning_rate * cfg.clip_threshold * (5.0 - 1.0);
+  const auto z_variance = [&](const Matrix& w0, const Matrix& w_loud,
+                              const Matrix& w_quiet) {
+    std::vector<double> z;
+    for (size_t v = 0; v < w0.rows(); ++v) {
+      const auto a = w0.Row(v);
+      const auto b = w_loud.Row(v);
+      if (std::equal(a.begin(), a.end(), b.begin())) continue;  // untouched
+      const auto q = w_quiet.Row(v);
+      for (size_t d = 0; d < q.size(); ++d) z.push_back((q[d] - b[d]) / scale);
+    }
+    EXPECT_GT(z.size(), 1000u);
+    const double sd = SampleStdDev(z);
+    return sd * sd;
+  };
+  const double var_in =
+      z_variance(init.model.w_in, loud.model.w_in, quiet.model.w_in);
+  const double var_out =
+      z_variance(init.model.w_out, loud.model.w_out, quiet.model.w_out);
+  EXPECT_GE(var_in, 0.9);
+  EXPECT_LE(var_in, 1.1);
+  EXPECT_GE(var_out, 0.9);
+  EXPECT_LE(var_out, 1.1);
 }
 
 TEST(TrainerTest, NonPrivateLossDecreases) {

@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/se_privgemb.h"
+#include "eval/metrics.h"
 #include "eval/strucequ.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
@@ -148,20 +150,26 @@ TEST(RunCellsTest, TrainEvalCellsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(RepeatCellsTest, MatchesLegacySerialRepeatSchedule) {
-  // RepeatCells keeps the bench family's 1000 + 37·r seed schedule; the
-  // summary must be bit-identical to the serial loop it replaced.
+  // The benches build their repeat cells with the legacy 1000 + 37·r seeds
+  // and summarise RunCells' values; the summary must be bit-identical to
+  // the serial loop those grids replaced.
   const auto fn = [](uint64_t seed) {
     return static_cast<double>(seed % 101) / 7.0;
   };
   std::vector<double> serial;
+  std::vector<runner::ExperimentCell> cells;
   for (int r = 0; r < 5; ++r) {
-    serial.push_back(fn(static_cast<uint64_t>(1000 + 37 * r)));
+    const auto seed = static_cast<uint64_t>(1000 + 37 * r);
+    serial.push_back(fn(seed));
+    cells.push_back({"repeat/" + std::to_string(r), seed,
+                     [&](const runner::CellContext& ctx) {
+                       return fn(ctx.seed);
+                     }});
   }
   const RunSummary want = Summarize(serial);
   for (size_t threads : kThreadCounts) {
     LinalgThreadsGuard guard(threads);
-    const RunSummary got = runner::RepeatCells(
-        5, [&](const runner::CellContext& ctx) { return fn(ctx.seed); });
+    const RunSummary got = Summarize(runner::RunCells(cells));
     EXPECT_DOUBLE_EQ(got.mean, want.mean);
     EXPECT_DOUBLE_EQ(got.stddev, want.stddev);
     EXPECT_EQ(got.runs, want.runs);

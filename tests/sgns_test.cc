@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/batch_gradient_engine.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -167,12 +168,46 @@ INSTANTIATE_TEST_SUITE_P(
                       GradCheckCase{"unit_dim", 1, 3, 0.9, 0.4}),
     [](const auto& info) { return info.param.name; });
 
+/// One hand-built sample as the engine's whole source, at p_ij = 1, so
+/// w_pos = w_neg = 1 under kPaperPij.
+class OneSampleSource final : public SampleSource {
+ public:
+  explicit OneSampleSource(const Subgraph& s) : s_(s) {}
+  size_t size() const override { return 1; }
+  size_t NegativesCount(uint32_t /*idx*/) const override {
+    return s_.negatives.size();
+  }
+  SampleView Get(uint32_t /*idx*/) const override {
+    return {s_.center, s_.context, 1.0, s_.negatives};
+  }
+
+ private:
+  const Subgraph& s_;
+};
+
+/// `steps` batches of `s` alone through the step Train() runs under
+/// PerturbationStrategy::kNone: accumulate without clipping, then apply.
+void StepOn(SkipGramModel& model, const Subgraph& s, int steps,
+            double learning_rate) {
+  BatchGradientEngineOptions opts;
+  opts.num_nodes = model.num_nodes();
+  opts.dim = model.dim();
+  BatchGradientEngine engine(opts, {});
+  OneSampleSource source(s);
+  const uint32_t batch[] = {0};
+  for (int i = 0; i < steps; ++i) {
+    double loss = 0.0;
+    ASSERT_TRUE(engine.TryAccumulateBatch(model, source, batch, &loss).ok());
+    engine.ApplyUpdate(model, learning_rate);
+  }
+}
+
 TEST(SgnsTest, SgdStepReducesLossOnAverage) {
   Rng rng(8);
   SkipGramModel model(20, 8, rng);
   const Subgraph s = MakeSubgraph(0, 1, {5, 6, 7});
   double before = SgnsLoss(model, s, 1.0, 1.0);
-  for (int i = 0; i < 50; ++i) SgdStep(model, s, 1.0, 1.0, 0.1);
+  StepOn(model, s, 50, 0.1);
   EXPECT_LT(SgnsLoss(model, s, 1.0, 1.0), before);
 }
 
@@ -180,7 +215,7 @@ TEST(SgnsTest, RepeatedStepsDriveScoresApart) {
   Rng rng(9);
   SkipGramModel model(10, 6, rng);
   const Subgraph s = MakeSubgraph(2, 3, {7});
-  for (int i = 0; i < 200; ++i) SgdStep(model, s, 1.0, 1.0, 0.2);
+  StepOn(model, s, 200, 0.2);
   // Positive pair score should be driven up, negative down.
   EXPECT_GT(model.Score(2, 3), 1.0);
   EXPECT_LT(model.Score(2, 7), -1.0);

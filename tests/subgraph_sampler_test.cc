@@ -247,6 +247,65 @@ TEST(SubgraphSamplerTest, NearCompleteGraphFindsTheOnlyValidNegative) {
   EXPECT_TRUE(saw_center1);
 }
 
+// Algorithm 1's negative draw: SubgraphGenerator over a resident graph,
+// with the canonical orientation so the first endpoint is the center.
+TEST(NegativeSamplerTest, UniformNonNeighborExcludesNeighbors) {
+  Graph g = StarGraph(20);
+  GraphAdjacencyOracle oracle(g);
+  SubgraphGenerator gen(oracle, /*negatives_per_edge=*/1, /*seed=*/7,
+                        EdgeOrientation::kCanonical);
+  Subgraph s;
+  // Center 0 is adjacent to everyone: the fallback must still return != 0.
+  for (int i = 0; i < 50; ++i) {
+    gen.Next(0, 1, /*edge_index=*/0, s);
+    EXPECT_NE(s.negatives[0], 0u);
+  }
+  // A leaf's negatives are never the center.
+  for (int i = 0; i < 200; ++i) {
+    gen.Next(1, 0, /*edge_index=*/0, s);
+    EXPECT_NE(s.negatives[0], 1u);
+    EXPECT_NE(s.negatives[0], 0u);
+  }
+}
+
+TEST(NegativeSamplerTest, DenseGraphFallbackNeverReturnsNeighbor) {
+  // Near-complete graph: node 0 is adjacent to every node except node 1, so
+  // rejection sampling almost always exhausts its 256 tries. The old
+  // fallback returned (center + 1) % n — a NEIGHBOR of 0 — violating the
+  // non-neighbor negative design; the scan-before-relax fallback must find
+  // the single valid candidate every time.
+  std::vector<Edge> edges;
+  const NodeId n = 40;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (u == 0 && v == 1) continue;
+      edges.push_back({u, v});
+    }
+  }
+  Graph g = Graph::FromEdges(n, std::move(edges));
+  GraphAdjacencyOracle oracle(g);
+  SubgraphGenerator gen(oracle, /*negatives_per_edge=*/1, /*seed=*/11,
+                        EdgeOrientation::kCanonical);
+  Subgraph s;
+  for (int i = 0; i < 300; ++i) {
+    gen.Next(0, 2, /*edge_index=*/0, s);
+    const NodeId neg = s.negatives[0];
+    EXPECT_NE(neg, 0u);
+    EXPECT_FALSE(g.HasEdge(0, neg)) << "sampled neighbor " << neg;
+    EXPECT_EQ(neg, 1u);  // the only non-neighbor of 0
+  }
+  // Fully saturated center (complete graph): must still terminate and
+  // return != center even though no valid non-neighbor exists.
+  Graph complete = CompleteGraph(12);
+  GraphAdjacencyOracle complete_oracle(complete);
+  SubgraphGenerator complete_gen(complete_oracle, /*negatives_per_edge=*/1,
+                                 /*seed=*/11, EdgeOrientation::kCanonical);
+  for (int i = 0; i < 100; ++i) {
+    complete_gen.Next(3, 4, /*edge_index=*/0, s);
+    EXPECT_NE(s.negatives[0], 3u);
+  }
+}
+
 /// Graph adjacency that counts the generator's probes.
 class CountingOracle final : public AdjacencyOracle {
  public:
