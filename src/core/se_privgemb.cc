@@ -398,8 +398,7 @@ Status SePrivGEmb::TrainInternal(const TrainCheckpointOptions* ckpt,
 
 Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
                          const SePrivGEmbConfig& config,
-                         const OutOfCoreTrainOptions& ooc, TrainResult* out,
-                         const ProximityOptions& prox_opts) {
+                         const OutOfCoreTrainOptions& ooc, TrainResult* out) {
   const SePrivGEmbConfig& cfg = config;
   SEPRIV_CHECK(preference == ProximityKind::kPreferentialAttachment,
                "out-of-core training supports the degree preference only "
@@ -416,8 +415,6 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
 
   const size_t num_shards = store.num_shards();
   ThreadPool pool(cfg.ResolvedThreads());
-  const std::string cache_root = ooc.work_dir + "/proxcache";
-  const uint64_t graph_fp = store.fingerprint();
 
   // Degree vector: the node-level oracle state of the degree preference.
   // O(|V|) resident, one sequential shard scan. Shard reads that fail their
@@ -432,15 +429,14 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   }
   DegreeVectorProximity provider(std::move(degrees), num_edges);
 
-  // Pass A: per-shard proximity passes (cache-through, so pass B reloads
-  // them warm) streamed into the shared floor/scale reduction. Never holds
-  // more than one shard's edge table.
+  // Pass A: per-shard proximity passes streamed into the shared floor/scale
+  // reduction. Never holds more than one shard's edge table.
   ProximityFinalizer fin;
   for (size_t s = 0; s < num_shards; ++s) {
     PinnedShard pin;
     SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
-    const ShardProximity sp = CachedShardProximities(
-        pin.view(), s, graph_fp, provider, prox_opts, pool, cache_root);
+    const ShardProximity sp =
+        ComputeShardProximities(pin.view(), provider, pool);
     for (size_t k = 0; k < sp.forward.size(); ++k) {
       fin.Accumulate(0.5 * (sp.forward[k] + sp.backward[k]));
     }
@@ -495,10 +491,10 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
       PinnedShard pin;
       SEPRIV_RETURN_IF_ERROR(store.TryPin(s, &pin));
       const ShardView& view = pin.view();
-      // Warm reload of this shard's raw proximities (pass A cached them);
-      // the sealed finalizer turns them into the stored p_ij weights.
-      const ShardProximity sp = CachedShardProximities(
-          view, s, graph_fp, provider, prox_opts, pool, cache_root);
+      // Pass A's raw proximities of this shard again: each is a product of
+      // two degrees, recomputed bit for bit. The sealed finalizer turns
+      // them into the stored p_ij weights.
+      const ShardProximity sp = ComputeShardProximities(view, provider, pool);
       const auto weight = [&](size_t k) {  // the stored p_ij of edge k here
         const double sym = 0.5 * (sp.forward[k] + sp.backward[k]);
         return cfg.normalize_proximity ? fin.Normalized(sym) : fin.Value(sym);
@@ -547,7 +543,7 @@ Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
   TrainCheckpoint resume_ck;
   if (checkpointing) {
     SEPRIV_RETURN_IF_ERROR(ResolveCheckpointPlan(
-        ooc.checkpoint, graph_fp, cfg.Digest(), preference_digest,
+        ooc.checkpoint, store.fingerprint(), cfg.Digest(), preference_digest,
         /*require_checkpoint=*/false, &resume_ck, &plan));
   }
   SEPRIV_RETURN_IF_ERROR(RunEpochs(cfg, n, min_weight, *samples,

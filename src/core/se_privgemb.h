@@ -144,9 +144,8 @@ class SePrivGEmb {
 
 /// Scratch-space knobs of the out-of-core trainer.
 struct OutOfCoreTrainOptions {
-  /// Required: directory (created if missing) for the per-shard proximity
-  /// cache and the on-disk sample store. Reusable across runs — the caches
-  /// are fingerprint-keyed.
+  /// Required: directory (created if missing) for the on-disk sample store,
+  /// <work_dir>/samples.bin. Reusable across runs: each run rewrites it.
   std::string work_dir;
 
   /// BufferPool budget for the sample store, in pages. 0 means
@@ -167,14 +166,16 @@ struct OutOfCoreTrainOptions {
 };
 
 /// Algorithm 2 against a (possibly disk-resident) GraphStore: proximities
-/// run shard-at-a-time through the per-shard cache, GS streams through an
-/// on-disk sample store, and epochs page samples through a fixed-budget
-/// buffer pool — resident state is O(|V| + one shard + pool budget), never
-/// O(|E|). The O(|V|) part is the degree vector and Algorithm 1's halo: the
-/// rows of later-shard centers, at most |V| adjacency entries, which
-/// ShardHaloOracle copies in per run of scan-shard edges. Only
-/// ProximityKind::kPreferentialAttachment is supported (the one preference
-/// whose oracle state is node-level: the degree vector).
+/// run shard-at-a-time, once for the floor/scale reduction and once more
+/// while GS streams into an on-disk sample store, and epochs page samples
+/// through a fixed-budget buffer pool — resident state is O(|V| + one
+/// shard + pool budget), never O(|E|). Nothing but the sample store is
+/// written to the work dir. The O(|V|) part is the degree vector and
+/// Algorithm 1's halo: the rows of later-shard centers, at most |V|
+/// adjacency entries, which ShardHaloOracle copies in per run of
+/// scan-shard edges. Only ProximityKind::kPreferentialAttachment is
+/// supported (the one preference whose oracle state is node-level: the
+/// degree vector).
 /// For identical (store contents, config), the returned result — model
 /// bits, loss curve, accounting — is identical to SePrivGEmb::Train() on
 /// the equivalent in-memory graph, for every shard count, thread count,
@@ -187,8 +188,7 @@ struct OutOfCoreTrainOptions {
 SEPRIV_DP_SANITIZER
 Status TryTrainOutOfCore(GraphStore& store, ProximityKind preference,
                          const SePrivGEmbConfig& config,
-                         const OutOfCoreTrainOptions& ooc, TrainResult* out,
-                         const ProximityOptions& prox_opts = {});
+                         const OutOfCoreTrainOptions& ooc, TrainResult* out);
 
 }  // namespace sepriv
 

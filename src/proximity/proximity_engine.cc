@@ -12,6 +12,7 @@
 
 #include "util/atomic_file.h"
 #include "util/check.h"
+#include "util/digest.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 
@@ -130,25 +131,8 @@ std::vector<size_t> OrderByTarget(const std::vector<Edge>& edges) {
 
 constexpr uint32_t kShardCacheMagic = 0x53505853;  // "SPXS"
 // v2: ProximityOptions lost dw_walk_length, one option word fewer.
-constexpr uint32_t kShardCacheVersion = 2;
-
-/// splitmix64-chained digest over a byte range, 8 bytes at a time with a
-/// zero-padded tail. Guards the cache file against truncation/corruption.
-uint64_t DigestBytes(const char* data, size_t len) {
-  uint64_t h = 0xc3a5c85c97cb3127ULL ^ len;
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, 8);
-    h = HashMix(h, word);
-  }
-  if (i < len) {
-    uint64_t word = 0;
-    std::memcpy(&word, data + i, len - i);
-    h = HashMix(h, word);
-  }
-  return h;
-}
+// v3: the whole-file checksum is PageHash (util/digest.h).
+constexpr uint32_t kShardCacheVersion = 3;
 
 /// The ProximityOptions fields in a fixed serialisation order, for both the
 /// cache-file header (stored and re-verified field by field on load — a key
@@ -322,7 +306,7 @@ bool SaveShardProximityCache(const std::string& cache_root,
   blob.append(provider_name);
   AppendDoubles(blob, prox.forward);
   AppendDoubles(blob, prox.backward);
-  AppendPod(blob, DigestBytes(blob.data(), blob.size()));
+  AppendPod(blob, PageHash(blob.data(), blob.size(), kShardCacheMagic));
 
   // Durable atomic publish (write-temp + fsync file and directory + rename):
   // concurrent loaders see either the old complete file or the new complete
@@ -351,7 +335,7 @@ std::optional<ShardProximity> LoadShardProximityCache(
   const size_t payload_len = blob.size() - sizeof(uint64_t);
   uint64_t stored_digest = 0;
   std::memcpy(&stored_digest, blob.data() + payload_len, sizeof(uint64_t));
-  if (DigestBytes(blob.data(), payload_len) != stored_digest)
+  if (PageHash(blob.data(), payload_len, kShardCacheMagic) != stored_digest)
     return std::nullopt;
 
   ByteReader reader(blob.data(), payload_len);

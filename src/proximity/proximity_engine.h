@@ -100,7 +100,7 @@ ShardProximity CachedShardProximities(const ShardView& view,
 /// ComputeEdgeProximities on the equivalent graph for every shard count,
 /// thread count, and cache state. The returned table is O(|E|), so it takes
 /// an in-memory store, whose pins cannot fail; out-of-core consumers stream
-/// through CachedShardProximities + ProximityFinalizer instead.
+/// through ComputeShardProximities + ProximityFinalizer instead.
 EdgeProximity ShardedEdgeProximities(InMemoryGraphStore& store,
                                      const ProximityProvider& provider,
                                      const ProximityOptions& opts,

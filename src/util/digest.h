@@ -5,16 +5,17 @@
 // compare it, and every committed model digest is one; any single-bit
 // difference in the digested bytes (including two rows swapping their noise
 // draws) changes it, so matching values really do witness bit-identical
-// output. It also seals the small on-disk headers, manifests, checkpoints and
-// proximity-cache files. One shared implementation so the committed bench
+// output. It also seals the sample store's header page, the shard manifest
+// and checkpoints. One shared implementation so the committed bench
 // baselines and the test assertions can never drift apart.
 //
-// PageHash is the page-integrity hash: the checksum of every shard page and
-// sample-store data page, and the shard fingerprint the store cross-checks
-// against its manifest on each fresh page load. FNV-1a is byte-serial (one
-// multiply on the critical path per byte); PageHash runs four independent
-// word lanes and verifies a page at memory speed. Its value is part of the
-// on-disk formats: changing it means bumping their versions.
+// PageHash is the page-integrity hash: the checksum of every shard page,
+// sample-store data page and proximity-cache file, and the shard fingerprint
+// the store cross-checks against its manifest on each fresh page load.
+// FNV-1a is byte-serial (one multiply on the critical path per byte);
+// PageHash runs four independent word lanes and verifies a page at memory
+// speed. Its value is part of the on-disk formats: changing it means bumping
+// their versions.
 
 #ifndef SEPRIVGEMB_UTIL_DIGEST_H_
 #define SEPRIVGEMB_UTIL_DIGEST_H_

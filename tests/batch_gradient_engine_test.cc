@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "util/math_util.h"
 #include "util/mem.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace sepriv {
 namespace {
@@ -362,6 +364,68 @@ TEST(BatchGradientEngineTest, NonZeroPerturbationOnlyTouchesTouchedRows) {
   };
   check(f.model.w_in, model.w_in, in_touched, "w_in");
   check(f.model.w_out, model.w_out, out_touched, "w_out");
+}
+
+// Eq. (9) and Eq. (6) draw fresh noise on every call: each perturbation
+// consumes one draw of the caller's Rng as its key. Two calls on the same
+// input must add uncorrelated noise to the same entries; a key that ignored
+// the draw would add the same noise again (ρ = 1).
+TEST(BatchGradientEngineTest, EachPerturbationDrawsFreshNoise) {
+  const Fixture f;
+  BatchGradientEngine engine(f.Options(2, true), f.weights);
+  Rng noise_rng(13);
+  const auto expect_uncorrelated = [](const std::vector<double>& first,
+                                      const std::vector<double>& second,
+                                      const char* mechanism) {
+    ASSERT_EQ(first.size(), second.size()) << mechanism;
+    ASSERT_GT(first.size(), 1000u) << mechanism;
+    EXPECT_LT(std::abs(PearsonCorrelation(first, second)), 0.15) << mechanism;
+  };
+
+  // Eq. (9): a private step of the fixture batch at η = 0 leaves the model
+  // as it was, so the next step's slab holds the same clipped gradients.
+  // Both accumulators' slot rows, back to back:
+  const auto slabs = [&] {
+    std::vector<double> v;
+    for (const SparseRowGrad* g : {&engine.grad_in(), &engine.grad_out()}) {
+      for (size_t s = 0; s < g->touched().size(); ++s) {
+        const auto row = g->SlotRow(static_cast<uint32_t>(s));
+        v.insert(v.end(), row.begin(), row.end());
+      }
+    }
+    return v;
+  };
+  const auto nonzero_noise = [&] {
+    f.Accumulate(engine, f.model, f.batch);
+    std::vector<double> noise = slabs();
+    // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
+    engine.PerturbNonZero(1.0, noise_rng);
+    const std::vector<double> noised = slabs();
+    for (size_t i = 0; i < noise.size(); ++i) noise[i] = noised[i] - noise[i];
+    SkipGramModel model = f.model;
+    engine.ApplyUpdate(model, 0.0);  // releases the slab
+    return noise;
+  };
+  const std::vector<double> nonzero_first = nonzero_noise();
+  expect_uncorrelated(nonzero_first, nonzero_noise(), "Eq. 9");
+
+  // Eq. (6): the noise lands on a fresh copy of the model, at η = 1.
+  const auto naive_noise = [&] {
+    SkipGramModel model = f.model;
+    // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
+    engine.PerturbNaiveIntoModel(model, 1.0, 1.0, noise_rng);
+    std::vector<double> noise;
+    const auto append = [&](const Matrix& after, const Matrix& before) {
+      for (size_t i = 0; i < before.size(); ++i) {
+        noise.push_back(after.data()[i] - before.data()[i]);
+      }
+    };
+    append(model.w_in, f.model.w_in);
+    append(model.w_out, f.model.w_out);
+    return noise;
+  };
+  const std::vector<double> naive_first = naive_noise();
+  expect_uncorrelated(naive_first, naive_noise(), "Eq. 6");
 }
 
 TEST(BatchGradientEngineTest, NaivePerturbationThreadCountInvariant) {

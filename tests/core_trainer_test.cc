@@ -9,6 +9,7 @@
 #include <limits>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/sparse_row_grad.h"
@@ -242,6 +243,54 @@ TEST(TrainerTest, NonZeroNoiseStddevIsClipTimesSigma) {
   EXPECT_LE(var_in, 1.1);
   EXPECT_GE(var_out, 0.9);
   EXPECT_LE(var_out, 1.1);
+}
+
+// Eq. 3's clip, measured without a digest. As above, one-epoch runs at
+// σ = 5 and σ = 1 share the clipped batch sum G and the noise Z, so
+// Δσ = w₀ − w_σ = η·(G + C·σ·Z) and G = (5·Δ₁ − Δ₅) / (4η) on each matrix.
+// Each sample's clipped block has norm at most C, so ‖G‖_F ≤ B·C (on w_out
+// up to a row that one sample's contexts repeat, which is rare here). At
+// C = 10⁻⁴ ‖G‖_F reads about 10⁻³ on both matrices, against B·C =
+// 1.28·10⁻², and about 6.5·10⁻² with clipping off.
+TEST(TrainerTest, ClippedBatchSumIsAtMostBatchTimesClip) {
+  const Graph g = BarabasiAlbert(2000, 4, 3);
+  SePrivGEmbConfig cfg;
+  cfg.dim = 32;
+  cfg.clip_threshold = 1e-4;
+  cfg.epsilon = 1e6;  // the budget never stops the one epoch
+  cfg.track_loss = false;
+  auto train = [&](size_t epochs, double sigma) {
+    cfg.max_epochs = epochs;
+    cfg.noise_multiplier = sigma;
+    return SePrivGEmb(g, ProximityKind::kPreferentialAttachment, cfg).Train();
+  };
+  const TrainResult init = train(0, 5.0);
+  const TrainResult loud = train(1, 5.0);
+  const TrainResult quiet = train(1, 1.0);
+  ASSERT_EQ(loud.epochs_run, 1u);
+  ASSERT_EQ(quiet.epochs_run, 1u);
+
+  const auto batch_sum_norm = [&](const Matrix& w0, const Matrix& w_loud,
+                                  const Matrix& w_quiet) {
+    double squares = 0.0;
+    for (size_t i = 0; i < w0.size(); ++i) {
+      const double d5 = w0.data()[i] - w_loud.data()[i];
+      const double d1 = w0.data()[i] - w_quiet.data()[i];
+      const double sum = (5.0 * d1 - d5) / (4.0 * cfg.learning_rate);
+      squares += sum * sum;
+    }
+    return std::sqrt(squares);
+  };
+  const double bound =
+      static_cast<double>(cfg.batch_size) * cfg.clip_threshold;
+  for (const auto& [name, norm] :
+       {std::pair{"w_in", batch_sum_norm(init.model.w_in, loud.model.w_in,
+                                         quiet.model.w_in)},
+        std::pair{"w_out", batch_sum_norm(init.model.w_out, loud.model.w_out,
+                                          quiet.model.w_out)}}) {
+    EXPECT_GT(norm, cfg.clip_threshold) << name << ": no gradient measured";
+    EXPECT_LE(norm, bound) << name;
+  }
 }
 
 TEST(TrainerTest, NonPrivateLossDecreases) {

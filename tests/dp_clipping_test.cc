@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "util/math_util.h"
@@ -72,8 +73,8 @@ TEST_P(ClippingInvariantTest, RandomGradientsNeverExceedC) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, ClippingInvariantTest,
                          ::testing::Values(0.5, 1.0, 2.0, 4.0, 6.0),
                          [](const auto& info) {
-                           return "C" + std::to_string(static_cast<int>(
-                                            info.param * 10));
+                           return std::string("C").append(std::to_string(
+                               static_cast<int>(info.param * 10)));
                          });
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(RunGridTest, InnerThreadBudgetMatchesGridMode) {
 TEST(RunCellsTest, ResultsInInputOrderWithOwnSeeds) {
   std::vector<runner::ExperimentCell> cells;
   for (size_t i = 0; i < 20; ++i) {
-    cells.push_back({"c" + std::to_string(i), 100 + i,
+    cells.push_back({std::string("c").append(std::to_string(i)), 100 + i,
                      [](const runner::CellContext& ctx) {
                        return static_cast<double>(ctx.seed) * 2.0;
                      }});

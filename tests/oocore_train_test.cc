@@ -216,9 +216,12 @@ TEST_F(OocoreTrainTest, WorkDirReuseHitsWarmCachesAndStaysIdentical) {
   ASSERT_NE(store1, nullptr);
   const TrainDigest cold(TrainOutOfCoreOk(*store1, cfg, ooc));
   EXPECT_TRUE(std::filesystem::exists(ooc.work_dir + "/samples.bin"));
+  // The trainer recomputes each shard's proximities in its second pass and
+  // writes no proximity files.
+  EXPECT_FALSE(std::filesystem::exists(ooc.work_dir + "/proxcache"));
 
-  // Second run reuses the fingerprint-keyed per-shard proximity cache and
-  // overwrites the sample store; everything must come out bit-identical.
+  // Second run in the same work dir overwrites the sample store; everything
+  // must come out bit-identical.
   auto store2 = SsdGraphStore::Open(shard_dir, 2);
   ASSERT_NE(store2, nullptr);
   ooc.keep_sample_store = false;
