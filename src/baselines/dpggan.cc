@@ -26,6 +26,13 @@ void FillPairRow(Matrix& dst, size_t row, const Matrix& table, NodeId u,
 
 }  // namespace
 
+void PerturbDiscriminatorGrads(Mlp& disc, const EmbedderOptions& o,
+                               Rng& rng) {
+  const double inv = 1.0 / static_cast<double>(2 * o.batch_size);
+  disc.ClipGrads(o.clip_threshold);
+  disc.AddGradNoise(o.clip_threshold * o.noise_multiplier * inv, rng);
+}
+
 EmbedderResult DpgGanEmbedder::Embed(const Graph& graph) {
   const EmbedderOptions& o = opts_;
   const size_t n = graph.num_nodes();
@@ -75,10 +82,7 @@ EmbedderResult DpgGanEmbedder::Embed(const Graph& graph) {
       grad_logits(i, 0) = (Sigmoid(logits(i, 0)) - targets(i, 0)) * inv;
     }
     disc.Backward(grad_logits);
-    if (!o.non_private) {
-      disc.ClipGrads(o.clip_threshold);
-      disc.AddGradNoise(o.clip_threshold * o.noise_multiplier * inv, rng);
-    }
+    if (!o.non_private) PerturbDiscriminatorGrads(disc, o, rng);
     disc.AdamStep(o.learning_rate);
 
     // ---- Generator step: make fake pairs look real (post-processing) ----

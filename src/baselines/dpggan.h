@@ -11,6 +11,8 @@
 #define SEPRIVGEMB_BASELINES_DPGGAN_H_
 
 #include "baselines/embedder.h"
+#include "nn/mlp.h"
+#include "util/rng.h"
 
 namespace sepriv {
 
@@ -23,6 +25,14 @@ class DpgGanEmbedder : public GraphEmbedder {
  private:
   EmbedderOptions opts_;
 };
+
+/// DPGGAN's mechanism, run on the discriminator's gradient at every step:
+/// clips its joint L2 norm to C, then adds N(0, (C·σ/2B)²) to every entry,
+/// with (C, σ, B) = (o.clip_threshold, o.noise_multiplier, o.batch_size);
+/// the loss is a mean over B real and B generated pairs. Public so that a
+/// test can read the noise alone, on a zeroed gradient.
+SEPRIV_DP_SANITIZER
+void PerturbDiscriminatorGrads(Mlp& disc, const EmbedderOptions& o, Rng& rng);
 
 }  // namespace sepriv
 

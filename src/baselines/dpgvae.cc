@@ -17,6 +17,23 @@
 
 namespace sepriv {
 
+void PerturbEncoderGrads(Linear& enc1, Linear& enc_mu, Linear& enc_lv,
+                         const EmbedderOptions& o, Rng& rng) {
+  const double inv_batch = 1.0 / static_cast<double>(2 * o.batch_size);
+  const double sq = enc1.GradSquaredNorm() + enc_mu.GradSquaredNorm() +
+                    enc_lv.GradSquaredNorm();
+  const double scale = ClipScale(std::sqrt(sq), o.clip_threshold);
+  if (scale != 1.0) {
+    enc1.ScaleGrads(scale);
+    enc_mu.ScaleGrads(scale);
+    enc_lv.ScaleGrads(scale);
+  }
+  const double stddev = o.clip_threshold * o.noise_multiplier * inv_batch;
+  enc1.AddGradNoise(stddev, rng);
+  enc_mu.AddGradNoise(stddev, rng);
+  enc_lv.AddGradNoise(stddev, rng);
+}
+
 EmbedderResult DpgVaeEmbedder::Embed(const Graph& graph) {
   const EmbedderOptions& o = opts_;
   const size_t n = graph.num_nodes();
@@ -118,21 +135,8 @@ EmbedderResult DpgVaeEmbedder::Embed(const Graph& graph) {
     Matrix gh_pre = relu.Backward(gh);
     enc1.Backward(gh_pre);
 
-    if (!o.non_private) {
-      // Batch-level clip + noise (simplified DPSGD; DESIGN.md §2.3).
-      double sq = enc1.GradSquaredNorm() + enc_mu.GradSquaredNorm() +
-                  enc_lv.GradSquaredNorm();
-      const double scale = ClipScale(std::sqrt(sq), o.clip_threshold);
-      if (scale != 1.0) {
-        enc1.ScaleGrads(scale);
-        enc_mu.ScaleGrads(scale);
-        enc_lv.ScaleGrads(scale);
-      }
-      const double stddev = o.clip_threshold * o.noise_multiplier * inv_batch;
-      enc1.AddGradNoise(stddev, rng);
-      enc_mu.AddGradNoise(stddev, rng);
-      enc_lv.AddGradNoise(stddev, rng);
-    }
+    // Batch-level clip + noise (simplified DPSGD; DESIGN.md §2.3).
+    if (!o.non_private) PerturbEncoderGrads(enc1, enc_mu, enc_lv, o, rng);
 
     adam_e1w.Update(enc1.w(), enc1.grad_w(), o.learning_rate);
     adam_e1b.Update(enc1.b(), enc1.grad_b(), o.learning_rate);

@@ -11,6 +11,8 @@
 #define SEPRIVGEMB_BASELINES_DPGVAE_H_
 
 #include "baselines/embedder.h"
+#include "nn/linear.h"
+#include "util/rng.h"
 
 namespace sepriv {
 
@@ -23,6 +25,16 @@ class DpgVaeEmbedder : public GraphEmbedder {
  private:
   EmbedderOptions opts_;
 };
+
+/// DPGVAE's mechanism, run on the encoder's gradient every epoch: clips the
+/// joint L2 norm of the three layers' gradients to C, then adds
+/// N(0, (C·σ/2B)²) to every entry, with (C, σ, B) = (o.clip_threshold,
+/// o.noise_multiplier, o.batch_size); the decoder loss is a mean over B
+/// edges and B non-edges. Public so that a test can read the noise alone,
+/// on a zeroed gradient.
+SEPRIV_DP_SANITIZER
+void PerturbEncoderGrads(Linear& enc1, Linear& enc_mu, Linear& enc_lv,
+                         const EmbedderOptions& o, Rng& rng);
 
 }  // namespace sepriv
 

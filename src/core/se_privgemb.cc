@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "core/batch_gradient_engine.h"
@@ -279,7 +280,21 @@ Status RunEpochs(const SePrivGEmbConfig& cfg, size_t num_nodes,
 SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
                        const SePrivGEmbConfig& config,
                        const ProximityOptions& prox_opts)
-    : graph_(graph), config_(config) {
+    : graph_(graph),
+      config_(config),
+      gs_(graph.num_edges(), config.negatives) {
+  // Algorithm 1 reads only the graph and its seed word, so beside a pool of
+  // two or more threads it runs on a thread of its own while the pool
+  // evaluates p_ij below, and joins as it leaves scope. gs_ was allocated
+  // on this thread, so that thread allocates nothing.
+  const size_t threads = config_.ResolvedThreads();
+  std::jthread alg1;
+  if (threads > 1) {
+    alg1 = std::jthread([this] { BuildGs(); });
+  } else {
+    BuildGs();
+  }
+
   // The structure-preference precompute: the proximity engine's shard pass
   // over an in-memory store, cache-through when a cache directory is
   // configured. The table is bit-identical to the serial
@@ -287,7 +302,7 @@ SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
   // state.
   const auto provider = MakeProximity(preference, graph, prox_opts);
   InMemoryGraphStore store(graph, config_.proximity_shards);
-  ThreadPool pool(config_.ResolvedThreads());
+  ThreadPool pool(threads);
   EdgeProximity prox =
       ShardedEdgeProximities(store, *provider, prox_opts, pool,
                              config_.ResolvedProximityCachePath());
@@ -302,7 +317,9 @@ SePrivGEmb::SePrivGEmb(const Graph& graph, ProximityKind preference,
 
 SePrivGEmb::SePrivGEmb(const Graph& graph, const EdgeProximity& preference,
                        const SePrivGEmbConfig& config)
-    : graph_(graph), config_(config) {
+    : graph_(graph),
+      config_(config),
+      gs_(graph.num_edges(), config.negatives) {
   SEPRIV_CHECK(preference.values.size() == graph.num_edges(),
                "edge proximity size %zu != |E| %zu", preference.values.size(),
                graph.num_edges());
@@ -318,6 +335,14 @@ SePrivGEmb::SePrivGEmb(const Graph& graph, const EdgeProximity& preference,
     weights_ = &preference.values;
     min_weight_ = preference.min_positive;
   }
+  BuildGs();
+}
+
+void SePrivGEmb::BuildGs() {
+  if (gs_.size() == 0) return;
+  SubgraphSampler::Fill(graph_, config_.negatives, Rng(config_.seed).Next(),
+                        EdgeOrientation::kRandom,
+                        config_.negatives_exclude_neighbors, gs_);
 }
 
 TrainResult SePrivGEmb::Train() {
@@ -373,10 +398,10 @@ Status SePrivGEmb::TrainInternal(const TrainCheckpointOptions* ckpt,
   TrainResult result;
   result.min_proximity = min_weight_;
 
-  // Algorithm 2 line 2: disjoint subgraphs, negatives fixed before training.
-  SubgraphSampler sampler(graph_, cfg.negatives, rng.Next(),
-                          EdgeOrientation::kRandom,
-                          cfg.negatives_exclude_neighbors);
+  // Algorithm 2 line 2: disjoint subgraphs, negatives fixed before
+  // training. The constructor built GS from this stream's first word;
+  // drawing it here leaves line 3's init where it was.
+  rng.Next();
 
   // Line 3: initialise Win / Wout.
   result.model = SkipGramModel(graph_.num_nodes(), cfg.dim, rng);
@@ -387,7 +412,7 @@ Status SePrivGEmb::TrainInternal(const TrainCheckpointOptions* ckpt,
       cfg.positive_sampling == PositiveSampling::kProximityWeighted;
   if (weighted) positive_alias.Build(*weights_);
 
-  InMemorySampleSource source(sampler.All(), *weights_);
+  InMemorySampleSource source(gs_, *weights_);
   SEPRIV_RETURN_IF_ERROR(RunEpochs(cfg, graph_.num_nodes(), min_weight_,
                                    source,
                                    weighted ? &positive_alias : nullptr,

@@ -2,15 +2,20 @@
 // node-level Rényi differential privacy (the paper's core contribution,
 // Algorithm 2).
 //
-// Pipeline per Train() call:
+// Pipeline:
 //   1. evaluate the structure preference p_ij on every edge (§II-D);
 //   2. materialise the disjoint subgraphs GS (Algorithm 1);
-//   3. per epoch: subsample B subgraphs (γ = B/|E|), compute per-sample
-//      skip-gram gradients (Eq. 7/8), clip each to C, sum, perturb with the
-//      configured strategy (Eq. 6 naive / Eq. 9 non-zero), apply η times
-//      the noisy batch sum (not the mean: se_privgemb.cc gives the reason);
-//      account one subsampled-Gaussian RDP step and stop when the δ̂ implied
-//      by the target ε would exceed δ (lines 8–10).
+//   3. per Train() call and epoch: subsample B subgraphs (γ = B/|E|),
+//      compute per-sample skip-gram gradients (Eq. 7/8), clip each to C,
+//      sum, perturb with the configured strategy (Eq. 6 naive / Eq. 9
+//      non-zero), apply η times the noisy batch sum (not the mean:
+//      se_privgemb.cc gives the reason); account one subsampled-Gaussian
+//      RDP step and stop when the δ̂ implied by the target ε would exceed δ
+//      (lines 8–10).
+// Steps 1 and 2 run once, in the constructor, and concurrently: GS depends
+// only on the graph and the seed, so a thread of its own builds it while
+// the pool evaluates p_ij (inline for a borrowed p_ij table, and when the
+// trainer resolves to one thread). Every Train() call reuses both.
 //
 // The paper claims node-level (α, n·ε_γ(α))-RDP for the returned Win/Wout by
 // Theorem 5, converted to (ε, δ)-DP via Theorem 1. The default mechanism
@@ -35,6 +40,7 @@
 #include "core/config.h"
 #include "dp/accountant.h"
 #include "embedding/skipgram.h"
+#include "embedding/subgraph_sampler.h"
 #include "graph/graph.h"
 #include "graph/shard.h"
 #include "proximity/proximity.h"
@@ -132,6 +138,10 @@ class SePrivGEmb {
   Status TrainInternal(const TrainCheckpointOptions* ckpt,
                        bool require_checkpoint, TrainResult* out);
 
+  /// Algorithm 1 into gs_, seeded with the first word of Rng(config_.seed).
+  /// An empty graph leaves gs_ empty; Train() refuses it.
+  void BuildGs();
+
   const Graph& graph_;
   SePrivGEmbConfig config_;
   // p_ij per canonical edge: weights_ points at owned_weights_ when the
@@ -140,6 +150,10 @@ class SePrivGEmb {
   std::vector<double> owned_weights_;
   const std::vector<double>* weights_ = &owned_weights_;
   double min_weight_ = 0.0;           // min(P) over edges
+  // GS, fixed before training (footnote 2): one sample per edge, built by
+  // the constructor and read by every Train/TrainResumable/
+  // ResumeFromCheckpoint call.
+  SubgraphTable gs_;
 };
 
 /// Scratch-space knobs of the out-of-core trainer.

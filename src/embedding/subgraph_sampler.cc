@@ -71,11 +71,11 @@ Status ShardHaloOracle::Load(const ShardView& scan, size_t first_edge,
   // Copy the rows shard by shard: sorted nodes make each shard one pin.
   std::sort(halo_nodes_.begin(), halo_nodes_.end());
   halo_adj_.reserve(entries);
-  const ShardManifest& manifest = store_.manifest();
+  const ShardManifest& layout = store_.layout();
   for (size_t i = 0; i < halo_nodes_.size();) {
     PinnedShard pin;
     SEPRIV_RETURN_IF_ERROR(
-        store_.TryPin(manifest.ShardOfNode(halo_nodes_[i]), &pin));
+        store_.TryPin(layout.ShardOfNode(halo_nodes_[i]), &pin));
     for (; i < halo_nodes_.size() && halo_nodes_[i] < pin->node_end; ++i) {
       const auto row = pin->Neighbors(halo_nodes_[i]);
       halo_adj_.insert(halo_adj_.end(), row.begin(), row.end());
@@ -170,17 +170,36 @@ void SubgraphGenerator::Draw(NodeId u, NodeId v, NodeId& center,
   }
 }
 
+SubgraphTable::SubgraphTable(size_t rows, int negatives_per_row) {
+  SEPRIV_CHECK(negatives_per_row >= 0, "negative count must be >= 0");
+  rows_ = rows;
+  width_ = static_cast<size_t>(negatives_per_row) + 2;
+  cells_ = std::make_unique_for_overwrite<NodeId[]>(rows_ * width_);
+}
+
 SubgraphSampler::SubgraphSampler(const Graph& graph, int negatives_per_edge,
                                  uint64_t seed, EdgeOrientation orientation,
-                                 bool exclude_neighbors) {
+                                 bool exclude_neighbors)
+    : table_(graph.num_edges(), negatives_per_edge) {
+  Fill(graph, negatives_per_edge, seed, orientation, exclude_neighbors,
+       table_);
+}
+
+void SubgraphSampler::Fill(const Graph& graph, int negatives_per_edge,
+                           uint64_t seed, EdgeOrientation orientation,
+                           bool exclude_neighbors, SubgraphTable& table) {
   GraphAdjacencyOracle oracle(graph);
   SubgraphGenerator gen(oracle, negatives_per_edge, seed, orientation,
                         exclude_neighbors);
-  table_ = SubgraphTable(graph.num_edges(),
-                         static_cast<size_t>(negatives_per_edge));
-  for (size_t e = 0; e < table_.size(); ++e) {
+  SEPRIV_CHECK(table.size() == graph.num_edges() &&
+                   table.negatives_per_row() ==
+                       static_cast<size_t>(negatives_per_edge),
+               "table of %zu rows with %zu negatives for %zu edges with %d",
+               table.size(), table.negatives_per_row(), graph.num_edges(),
+               negatives_per_edge);
+  for (size_t e = 0; e < table.size(); ++e) {
     const Edge& edge = graph.Edges()[e];
-    gen.Next(edge.u, edge.v, table_.Record(e));
+    gen.Next(edge.u, edge.v, table.Record(e));
   }
 }
 

@@ -26,6 +26,7 @@
 #define SEPRIVGEMB_EMBEDDING_SUBGRAPH_SAMPLER_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,8 +49,8 @@ struct SEPRIV_SENSITIVE_SOURCE Subgraph {
 /// GS as one flat table: row e is edge e's sample, a fixed-width record of
 /// 2 + k NodeIds — center, context, then the k negatives. One allocation of
 /// |E|·(2 + k)·4 bytes (28 B per edge at k = 5), where a Subgraph costs
-/// about 72 B with its heap block. Only SubgraphSampler builds one, writing
-/// every row through SubgraphGenerator.
+/// about 72 B with its heap block. Only SubgraphSampler writes one, every
+/// row through SubgraphGenerator.
 class SEPRIV_SENSITIVE_SOURCE SubgraphTable {
  public:
   /// One row: views into the table, valid while it lives.
@@ -61,28 +62,30 @@ class SEPRIV_SENSITIVE_SOURCE SubgraphTable {
 
   SubgraphTable() = default;
 
+  /// Room for `rows` records of 2 + `negatives_per_row` NodeIds, left
+  /// unwritten until SubgraphSampler::Fill writes every cell. Allocating
+  /// apart from filling lets a trainer allocate on its own thread and fill
+  /// on another; the pages are first touched by the filling thread.
+  SubgraphTable(size_t rows, int negatives_per_row);
+
   size_t size() const { return rows_; }
   size_t negatives_per_row() const { return width_ - 2; }
 
   Row operator[](size_t e) const {
-    const NodeId* r = cells_.data() + e * width_;
+    const NodeId* r = cells_.get() + e * width_;
     return {r[0], r[1], {r + 2, width_ - 2}};
   }
 
  private:
   friend class SubgraphSampler;
-  SubgraphTable(size_t rows, size_t negatives_per_row)
-      : rows_(rows),
-        width_(negatives_per_row + 2),
-        cells_(rows * width_) {}
 
   std::span<NodeId> Record(size_t e) {
-    return {cells_.data() + e * width_, width_};
+    return {cells_.get() + e * width_, width_};
   }
 
   size_t rows_ = 0;
   size_t width_ = 2;
-  std::vector<NodeId> cells_;  // rows_ records of width_ NodeIds
+  std::unique_ptr<NodeId[]> cells_;  // rows_ records of width_ NodeIds
 };
 
 /// How the undirected edge is oriented into (center, context).
@@ -206,6 +209,14 @@ class SubgraphSampler {
   SubgraphSampler(const Graph& graph, int negatives_per_edge, uint64_t seed,
                   EdgeOrientation orientation = EdgeOrientation::kRandom,
                   bool exclude_neighbors = true);
+
+  /// The constructor's pass into a table the caller allocated with
+  /// graph.num_edges() rows of `negatives_per_edge` negatives: the same
+  /// rows, and no allocation, so a thread of its own can run it without
+  /// opening a malloc arena for that thread.
+  static void Fill(const Graph& graph, int negatives_per_edge, uint64_t seed,
+                   EdgeOrientation orientation, bool exclude_neighbors,
+                   SubgraphTable& table);
 
   const SubgraphTable& All() const { return table_; }
   size_t size() const { return table_.size(); }

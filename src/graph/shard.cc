@@ -54,6 +54,64 @@ size_t CountShardEdges(const ShardView& view) {
   return count;
 }
 
+/// The graph's offset array widened to the on-disk type ({0} when empty).
+std::vector<uint64_t> WidenedOffsets(const Graph& graph) {
+  const auto offsets = graph.OffsetArray();
+  if (offsets.empty()) return {0};
+  return {offsets.begin(), offsets.end()};
+}
+
+/// Shard `info` of a resident graph, over its widened offsets.
+ShardView ResidentView(const Graph& graph,
+                       const std::vector<uint64_t>& offsets64,
+                       const GraphShardInfo& info) {
+  ShardView view;
+  view.node_begin = static_cast<NodeId>(info.node_begin);
+  view.node_end = static_cast<NodeId>(info.node_end);
+  view.adj_begin = info.adj_begin;
+  view.edge_begin = info.edge_begin;
+  view.edge_count = info.edge_count;
+  view.offsets = offsets64.data() + info.node_begin;
+  view.adjacency = graph.AdjacencyArray().data() + info.adj_begin;
+  return view;
+}
+
+/// BuildManifest's ranges, counts and edge numbering, fingerprints unset.
+ShardManifest PlanManifest(const Graph& graph,
+                           const std::vector<uint64_t>& offsets64,
+                           size_t num_shards) {
+  ShardManifest m;
+  m.num_nodes = graph.num_nodes();
+  m.num_edges = graph.num_edges();
+  m.page_size = 0;
+  size_t edge_cursor = 0;
+  for (const auto& [b, e] : PlanShardRanges(graph, num_shards)) {
+    GraphShardInfo info;
+    info.node_begin = b;
+    info.node_end = e;
+    info.adj_begin = offsets64[b];
+    info.adj_count = offsets64[e] - offsets64[b];
+    info.edge_begin = edge_cursor;
+    info.edge_count = CountShardEdges(ResidentView(graph, offsets64, info));
+    m.shards.push_back(info);
+    edge_cursor += info.edge_count;
+  }
+  SEPRIV_CHECK(edge_cursor == m.num_edges,
+               "shard edge counts sum to %zu, graph has %llu edges",
+               edge_cursor, static_cast<unsigned long long>(m.num_edges));
+  return m;
+}
+
+/// The fingerprints PlanManifest leaves unset.
+void SetFingerprints(const Graph& graph,
+                     const std::vector<uint64_t>& offsets64,
+                     ShardManifest& m) {
+  m.graph_fingerprint = graph.Fingerprint();
+  for (GraphShardInfo& info : m.shards) {
+    info.fingerprint = ShardFingerprint(ResidentView(graph, offsets64, info));
+  }
+}
+
 }  // namespace
 
 size_t ShardManifest::ShardOfNode(NodeId v) const {
@@ -118,71 +176,28 @@ std::vector<std::pair<NodeId, NodeId>> PlanShardRanges(const Graph& graph,
 }
 
 ShardManifest BuildManifest(const Graph& graph, size_t num_shards) {
-  const size_t n = graph.num_nodes();
-  std::vector<uint64_t> offsets64;
-  if (n == 0) {
-    offsets64.assign(1, 0);
-  } else {
-    const auto offsets = graph.OffsetArray();
-    offsets64.assign(offsets.begin(), offsets.end());
-  }
-
-  ShardManifest m;
-  m.num_nodes = n;
-  m.num_edges = graph.num_edges();
-  m.page_size = 0;
-  m.graph_fingerprint = graph.Fingerprint();
-
-  const auto ranges = PlanShardRanges(graph, num_shards);
-  size_t edge_cursor = 0;
-  for (const auto& [b, e] : ranges) {
-    ShardView view;
-    view.node_begin = b;
-    view.node_end = e;
-    view.adj_begin = offsets64[b];
-    view.edge_begin = edge_cursor;
-    view.offsets = offsets64.data() + b;
-    view.adjacency = graph.AdjacencyArray().data() + offsets64[b];
-    view.edge_count = CountShardEdges(view);
-
-    GraphShardInfo info;
-    info.node_begin = b;
-    info.node_end = e;
-    info.adj_begin = offsets64[b];
-    info.adj_count = offsets64[e] - offsets64[b];
-    info.edge_begin = edge_cursor;
-    info.edge_count = view.edge_count;
-    info.fingerprint = ShardFingerprint(view);
-    m.shards.push_back(info);
-    edge_cursor += view.edge_count;
-  }
-  SEPRIV_CHECK(edge_cursor == m.num_edges,
-               "shard edge counts sum to %zu, graph has %llu edges",
-               edge_cursor, static_cast<unsigned long long>(m.num_edges));
+  const std::vector<uint64_t> offsets64 = WidenedOffsets(graph);
+  ShardManifest m = PlanManifest(graph, offsets64, num_shards);
+  SetFingerprints(graph, offsets64, m);
   return m;
 }
 
 InMemoryGraphStore::InMemoryGraphStore(const Graph& graph, size_t num_shards)
-    : graph_(graph), manifest_(BuildManifest(graph, num_shards)) {
-  if (graph.OffsetArray().empty()) {
-    offsets64_.assign(1, 0);
-  } else {
-    offsets64_.assign(graph.OffsetArray().begin(), graph.OffsetArray().end());
-  }
+    : graph_(graph),
+      offsets64_(WidenedOffsets(graph)),
+      manifest_(PlanManifest(graph, offsets64_, num_shards)) {}
+
+const ShardManifest& InMemoryGraphStore::manifest() const {
+  std::call_once(fingerprinted_,
+                 [this] { SetFingerprints(graph_, offsets64_, manifest_); });
+  return manifest_;
 }
 
 Status InMemoryGraphStore::TryPin(size_t s, PinnedShard* out) {
   SEPRIV_CHECK(s < manifest_.num_shards(), "shard %zu out of range", s);
-  const GraphShardInfo& info = manifest_.shards[s];
-  ShardView view;
-  view.node_begin = static_cast<NodeId>(info.node_begin);
-  view.node_end = static_cast<NodeId>(info.node_end);
-  view.adj_begin = info.adj_begin;
-  view.edge_begin = info.edge_begin;
-  view.edge_count = info.edge_count;
-  view.offsets = offsets64_.data() + info.node_begin;
-  view.adjacency = graph_.AdjacencyArray().data() + info.adj_begin;
-  *out = PinnedShard(view, nullptr);  // the graph itself keeps memory alive
+  // The graph itself keeps the memory alive.
+  *out = PinnedShard(ResidentView(graph_, offsets64_, manifest_.shards[s]),
+                     nullptr);
   return OkStatus();
 }
 
@@ -452,7 +467,7 @@ Status SsdGraphStore::TryPin(size_t s, PinnedShard* out) {
 }
 
 Status ComposeGraphFingerprint(GraphStore& store, uint64_t* out) {
-  const ShardManifest& m = store.manifest();
+  const ShardManifest& m = store.layout();
   // Same fold as Graph::Fingerprint(): counts, then EVERY offset value in
   // node order, then every adjacency entry. Shard boundaries share an offset
   // value (offsets[node_end] == next shard's offsets[node_begin]), so shards

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -142,6 +143,11 @@ class GraphStore {
 
   virtual const ShardManifest& manifest() const = 0;
 
+  /// manifest()'s shard ranges and counts, for readers that need no
+  /// fingerprint. Its fingerprint fields may be unset: an in-memory store
+  /// hashes its CSR only when manifest() is first read.
+  virtual const ShardManifest& layout() const { return manifest(); }
+
   /// Makes shard `s` resident (reading it when disk-backed) and stores a
   /// pinned view in `*out`. Disk-backed stores retry transient faults and
   /// checksum mismatches with bounded re-reads; what survives them surfaces
@@ -161,9 +167,9 @@ class GraphStore {
   /// No-op. Kept only because perfbench's replica calls it.
   void Prefetch(size_t /*s*/) {}
 
-  size_t num_nodes() const { return manifest().num_nodes; }
-  size_t num_edges() const { return manifest().num_edges; }
-  size_t num_shards() const { return manifest().num_shards(); }
+  size_t num_nodes() const { return layout().num_nodes; }
+  size_t num_edges() const { return layout().num_edges; }
+  size_t num_shards() const { return layout().num_shards(); }
   uint64_t fingerprint() const { return manifest().graph_fingerprint; }
 };
 
@@ -182,18 +188,22 @@ ShardManifest BuildManifest(const Graph& graph, size_t num_shards);
 
 /// The 1..N-shard wrapper over an in-memory Graph. Views alias the graph's
 /// own arrays (plus a uint64 offsets mirror); the graph must outlive the
-/// store. TryPin never reads and never fails.
+/// store. TryPin never reads and never fails. The first manifest() call
+/// hashes the graph and every shard (once, thread-safe), so a shard pass
+/// without a proximity cache, which reads no fingerprint, never pays for it.
 class InMemoryGraphStore : public GraphStore {
  public:
   explicit InMemoryGraphStore(const Graph& graph, size_t num_shards = 1);
 
-  const ShardManifest& manifest() const override { return manifest_; }
+  const ShardManifest& manifest() const override;
+  const ShardManifest& layout() const override { return manifest_; }
   Status TryPin(size_t s, PinnedShard* out) override;
 
  private:
   const Graph& graph_;
-  ShardManifest manifest_;
   std::vector<uint64_t> offsets64_;  // Graph offsets widened to the on-disk type
+  mutable ShardManifest manifest_;   // fingerprints set by manifest()
+  mutable std::once_flag fingerprinted_;
 };
 
 /// Serialises `graph` into `dir` as "graph.manifest" + "graph.shards" (one

@@ -399,15 +399,24 @@ EdgeProximity ShardedEdgeProximities(InMemoryGraphStore& store,
                                      ThreadPool& pool,
                                      const std::string& cache_root) {
   const size_t m = store.num_edges();
-  std::vector<double> forward(m), backward(m);
+  // The graph hash keys cache entries; without a cache nothing reads it.
+  const uint64_t graph_fp = cache_root.empty() ? 0 : store.fingerprint();
+  std::vector<double> forward, backward;
   for (size_t s = 0; s < store.num_shards(); ++s) {
     const PinnedShard pin = store.Pin(s);
     const ShardView& view = pin.view();
-    const ShardProximity sp = CachedShardProximities(
-        view, s, store.fingerprint(), provider, opts, pool, cache_root);
+    ShardProximity sp = CachedShardProximities(
+        view, s, graph_fp, provider, opts, pool, cache_root);
     SEPRIV_CHECK(sp.forward.size() == view.edge_count,
                  "shard %zu proximity size %zu != edge count %zu", s,
                  sp.forward.size(), view.edge_count);
+    if (view.edge_count == m) {  // the one shard with edges: take its passes
+      forward = std::move(sp.forward);
+      backward = std::move(sp.backward);
+      continue;
+    }
+    forward.resize(m);
+    backward.resize(m);
     std::copy(sp.forward.begin(), sp.forward.end(),
               forward.begin() + static_cast<ptrdiff_t>(view.edge_begin));
     std::copy(sp.backward.begin(), sp.backward.end(),

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "baselines/dpggan.h"
+#include "baselines/dpgvae.h"
 #include "baselines/gap.h"
 #include "eval/strucequ.h"
 #include "graph/generators.h"
@@ -84,6 +86,96 @@ TEST(DpsgBaselinesTest, LargerEpsilonMoreEpochs) {
   const size_t loose =
       MakeBaseline(BaselineKind::kDpgVae, opts)->Embed(g).epochs_run;
   EXPECT_GT(loose, tight);
+}
+
+// Checks that `sum_sq`, a sum of n squared draws, fits N(0, stddev²):
+// sum_sq / stddev² is then χ² with n degrees of freedom, whose mean is n and
+// standard deviation √(2n). A wrong factor of √2 in the stddev moves the
+// ratio by 0.5 or more; the bound is 6 standard deviations.
+void ExpectNoiseStddev(double sum_sq, size_t n, double stddev) {
+  const double ratio = sum_sq / (static_cast<double>(n) * stddev * stddev);
+  EXPECT_NEAR(ratio, 1.0, 6.0 * std::sqrt(2.0 / static_cast<double>(n)))
+      << "over " << n << " entries, expected stddev " << stddev;
+}
+
+// Adds the squares of every gradient entry of `layer` into *sum_sq and
+// their count into *n.
+void AddGradSquares(Linear& layer, double* sum_sq, size_t* n) {
+  for (Matrix* g : {&layer.grad_w(), &layer.grad_b()}) {
+    for (size_t i = 0; i < g->size(); ++i) {
+      *sum_sq += g->data()[i] * g->data()[i];
+    }
+    *n += g->size();
+  }
+}
+
+EmbedderOptions MechanismOptions() {
+  EmbedderOptions o;
+  o.batch_size = 24;
+  o.clip_threshold = 1.5;
+  o.noise_multiplier = 4.0;
+  return o;
+}
+
+TEST(DpsgBaselinesTest, DpgGanNoiseStddevIsClipTimesSigmaOverPairs) {
+  // On a zeroed gradient the clip is a no-op, so what the mechanism leaves
+  // is its noise: N(0, (C·σ/2B)²) on each of the discriminator's entries.
+  const EmbedderOptions o = MechanismOptions();
+  Rng rng(5);
+  Mlp disc({128, 128, 1}, rng);
+  disc.ZeroGrad();
+  // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
+  PerturbDiscriminatorGrads(disc, o, rng);
+  double sum_sq = 0.0;
+  size_t n = 0;
+  for (Linear& layer : disc.layers()) AddGradSquares(layer, &sum_sq, &n);
+  ExpectNoiseStddev(sum_sq, n,
+                    o.clip_threshold * o.noise_multiplier /
+                        static_cast<double>(2 * o.batch_size));
+}
+
+TEST(DpsgBaselinesTest, DpgVaeNoiseStddevIsClipTimesSigmaOverPairs) {
+  const EmbedderOptions o = MechanismOptions();
+  Rng rng(6);
+  Linear enc1(64, 64, rng), enc_mu(64, 32, rng), enc_lv(64, 32, rng);
+  for (Linear* layer : {&enc1, &enc_mu, &enc_lv}) layer->ZeroGrad();
+  // sepriv-privflow: allow(unaccounted-sanitizer): unit test exercises the mechanism primitive directly; no privacy claim on its output
+  PerturbEncoderGrads(enc1, enc_mu, enc_lv, o, rng);
+  double sum_sq = 0.0;
+  size_t n = 0;
+  for (Linear* layer : {&enc1, &enc_mu, &enc_lv}) {
+    AddGradSquares(*layer, &sum_sq, &n);
+  }
+  ExpectNoiseStddev(sum_sq, n,
+                    o.clip_threshold * o.noise_multiplier /
+                        static_cast<double>(2 * o.batch_size));
+}
+
+TEST(GapBaselinesTest, HopNoiseStddevIsRootDegreeCapTimesSigma) {
+  // ProGAP with one hop publishes the mean of the features x and the hop
+  // cappedsum(rownorm(x)) + noise. The non-private run at the same seed
+  // draws the same x and adds no noise, so 2·(private − non-private) is the
+  // hop noise alone: N(0, K·σ²) per entry, √K being GAP's node-level
+  // sensitivity and σ the calibrated multiplier.
+  const Graph g = BarabasiAlbert(2000, 4, 29);
+  auto opts = SmallOptions();
+  opts.dim = 32;
+  opts.hops = 1;
+  opts.non_private = true;
+  const Matrix clean =
+      MakeBaseline(BaselineKind::kProGap, opts)->Embed(g).embedding;
+  opts.non_private = false;
+  const EmbedderResult noisy =
+      MakeBaseline(BaselineKind::kProGap, opts)->Embed(g);
+  ASSERT_GT(noisy.noise_multiplier_used, 0.0);
+  double sum_sq = 0.0;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    const double noise = 2.0 * (noisy.embedding.data()[i] - clean.data()[i]);
+    sum_sq += noise * noise;
+  }
+  ExpectNoiseStddev(sum_sq, clean.size(),
+                    std::sqrt(static_cast<double>(opts.degree_cap)) *
+                        noisy.noise_multiplier_used);
 }
 
 TEST(GapBaselinesTest, GapNeedsMoreNoiseThanProGap) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
@@ -17,6 +18,7 @@
 #include "eval/strucequ.h"
 #include "graph/generators.h"
 #include "test_tmpdir.h"
+#include "util/digest.h"
 #include "util/stats.h"
 
 namespace sepriv {
@@ -470,6 +472,53 @@ TEST(TrainerTest, AutoThreadsMatchesExplicitThreadCount) {
   EXPECT_EQ(MaxAbsDiff(auto_t.Train().model.w_in,
                        explicit_t.Train().model.w_in),
             0.0);
+}
+
+// Every bit a run publishes: the model, the loss curve and the accounting.
+void ExpectSameRun(const TrainResult& want, const TrainResult& got,
+                   const std::string& where) {
+  EXPECT_EQ(MatrixDigest(want.model.w_in), MatrixDigest(got.model.w_in))
+      << where;
+  EXPECT_EQ(MatrixDigest(want.model.w_out), MatrixDigest(got.model.w_out))
+      << where;
+  EXPECT_EQ(want.loss_curve, got.loss_curve) << where;
+  EXPECT_EQ(want.epochs_run, got.epochs_run) << where;
+  EXPECT_EQ(want.spent_epsilon, got.spent_epsilon) << where;
+}
+
+TEST(TrainerTest, EveryRunOfATrainerReadsTheSameGs) {
+  // The constructor builds GS once, beside the precompute on a thread of
+  // its own when the trainer runs more than one thread and inline when it
+  // runs one. Train, TrainResumable and ResumeFromCheckpoint all read that
+  // table, so a second Train() on one trainer, TrainResumable() on another
+  // and a resume from its last checkpoint publish the first run's bits.
+  const Graph g = BarabasiAlbert(300, 4, 17);
+  auto cfg = SmallConfig();
+  cfg.max_epochs = 30;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string at = "threads=" + std::to_string(threads);
+    cfg.num_threads = threads;
+    SePrivGEmb trainer(g, ProximityKind::kDeepWalk, cfg);
+    const TrainResult first = trainer.Train();
+    ExpectSameRun(first, trainer.Train(), "second Train(), " + at);
+
+    SePrivGEmb other(g, ProximityKind::kDeepWalk, cfg);
+    TrainCheckpointOptions ckpt;
+    ckpt.path = TestTmpDir() + "/gs_reuse_" + std::to_string(threads);
+    ckpt.every_epochs = 7;
+    ckpt.remove_on_success = false;
+    TrainResult resumable;
+    const Status run = other.TrainResumable(ckpt, &resumable);
+    ASSERT_TRUE(run.ok()) << run.ToString();
+    ExpectSameRun(first, resumable, "TrainResumable(), " + at);
+
+    // The file holds epoch 28, so the resume trains epochs 28 and 29 on GS.
+    TrainResult resumed;
+    const Status resume = other.ResumeFromCheckpoint(ckpt, &resumed);
+    ASSERT_TRUE(resume.ok()) << resume.ToString();
+    ExpectSameRun(first, resumed, "ResumeFromCheckpoint(), " + at);
+    std::remove(ckpt.path.c_str());
+  }
 }
 
 TEST(TrainerTest, ProximityCacheKnobResolution) {

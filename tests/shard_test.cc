@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -143,6 +144,33 @@ TEST_F(ShardTest, ShardFingerprintIsLocalToTheShard) {
   }
   EXPECT_EQ(sa.manifest().shards[0].fingerprint,
             ShardFingerprint(sa.Pin(0).view()));
+}
+
+TEST_F(ShardTest, InMemoryStoreHashesOnItsFirstManifestRead) {
+  const Graph g = BarabasiAlbert(300, 4, 17);
+  for (size_t shards : {1UL, 7UL}) {
+    InMemoryGraphStore store(g, shards);
+    // An uncached shard pass reads only the layout: no hash is computed.
+    for (size_t s = 0; s < store.num_shards(); ++s) store.Pin(s);
+    EXPECT_EQ(store.layout().graph_fingerprint, 0u) << shards << " shards";
+
+    // First reads from several threads at once hash the graph once, to the
+    // values the definitions give.
+    std::vector<uint64_t> seen(4, 0);
+    {
+      std::vector<std::jthread> readers;
+      for (uint64_t& fp : seen) {
+        readers.emplace_back([&store, &fp] { fp = store.fingerprint(); });
+      }
+    }
+    for (uint64_t fp : seen) EXPECT_EQ(fp, g.Fingerprint());
+    const ShardManifest& m = store.manifest();
+    ASSERT_EQ(m.num_shards(), store.num_shards());
+    for (size_t s = 0; s < m.num_shards(); ++s) {
+      EXPECT_EQ(m.shards[s].fingerprint, ShardFingerprint(store.Pin(s).view()))
+          << "shard " << s << " of " << shards;
+    }
+  }
 }
 
 // --- SSD round trip -----------------------------------------------------------
